@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .curve import CurveParams, QuadPoint, SPrimeSet, SymPoint, eval_fgh, on_curve, sym_invariants
-from .errors import DomainError, OffCurve, PanicInvariant
+from .curve import CurveParams, QuadPoint, SPrimeSet, SymPoint, sym_invariants
+from .errors import DomainError, PanicInvariant
 from .exactmath import MultiQuad, factorize, squarefree_decompose
 
 
@@ -57,11 +57,7 @@ class Classification:
     degenerate_flags: frozenset[str]
     sign_pattern: tuple[str, str, str] | None
     multi_degenerate: bool
-
-
-def conjugate_point(point: QuadPoint) -> QuadPoint:
-    """The Galois conjugate: v -> -v in every coordinate."""
-    return point.conjugate()
+    sym: SymPoint
 
 
 def detect_degenerate(sym: SymPoint) -> frozenset[str]:
@@ -150,10 +146,9 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
     Rational and base-field-rational points are decided before degeneracy
     analysis.  Otherwise degeneracy flags resolve through the sign tests on
     ff', gg', hh'; the coordinate route is recomputed independently and any
-    disagreement raises.
+    disagreement raises.  sym_invariants rejects an off-curve point with
+    OffCurve.
     """
-    if not on_curve(curve, point):
-        raise OffCurve(f"{point} is not on {curve}")
     sym = sym_invariants(curve, point)
     flags = detect_degenerate(sym)
     inv_loci = loci_from_invariants(curve, sym)
@@ -186,6 +181,7 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
         degenerate_flags=flags,
         sign_pattern=_sign_pattern(point),
         multi_degenerate=len(flags) >= 2,
+        sym=sym,
     )
 
 
@@ -229,12 +225,3 @@ def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[
                     candidates.add(signed)
     return sorted(candidates, key=lambda v: (abs(v), v))
 
-
-def two_term_unit_check(curve: CurveParams, point: QuadPoint) -> bool:
-    """Exact check of sqrt(b)f/h - sqrt(a)g/h = 1; the pair of summands is
-    what the unit-equation machinery consumes."""
-    f, g, h = eval_fgh(curve, point)
-    sa = MultiQuad.sqrt_int(curve.a)
-    sb = MultiQuad.sqrt_int(curve.b)
-    hinv = h.inverse()
-    return sb * f * hinv - sa * g * hinv == MultiQuad.one()

@@ -21,7 +21,6 @@ from .curve import (
     QuadPoint,
     SPrimeSet,
     compute_bounds,
-    sym_invariants,
     validate_curve,
     verify_identities,
 )
@@ -29,6 +28,7 @@ from .errors import DomainError, PanicInvariant
 from .pell import PellProblem, pell_classes, pell_iterate
 from .search import (
     SearchConfig,
+    _point_key,
     box_search,
     enumerate_family_xy,
     enumerate_family_xz,
@@ -97,8 +97,8 @@ def _mq_pairs(value) -> list:
 
 
 def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = None) -> dict:
-    sym = sym_invariants(curve, point)
     cls = classify(curve, point)
+    sym = cls.sym
     record = {
         "eps": point.eps,
         "x": [_fr(point.x[0]), _fr(point.x[1])],
@@ -149,19 +149,22 @@ def _flatten_mq(pairs: list) -> str:
     )
 
 
-def _csv_rows(results: list[dict]) -> str:
-    header = [
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _result_rows(results: list[dict]):
+    yield [
         "source", "eps", "ux", "vx", "uy", "vy", "uz", "vz",
         "verdict", "degenerate_flags", "sign_pattern", "multi_degenerate",
         "family_image", "ff", "gg", "hh", "alpha", "beta", "gamma",
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
     for rec in results:
         cls = rec["classification"]
         inv = rec["invariants"]
-        writer.writerow([
+        yield [
             rec.get("source", ""),
             rec["eps"],
             rec["x"][0], rec["x"][1],
@@ -178,21 +181,22 @@ def _csv_rows(results: list[dict]) -> str:
             _flatten_mq(inv["alpha"]),
             _flatten_mq(inv["beta"]),
             _flatten_mq(inv["gamma"]),
-        ])
-    return buf.getvalue()
+        ]
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report in the chosen format.  CSV holds one row per point
+    result, one per Pell solution, or one per summary field otherwise."""
     if args.format == "csv" and "results" in report:
-        text = _csv_rows(report["results"])
+        text = _csv_text(_result_rows(report["results"]))
+    elif args.format == "csv" and "solutions" in report:
+        text = _csv_text([["x", "y"], *report["solutions"]])
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for key, value in report.items():
-            if key in ("command", "parameters", "curve", "timing"):
-                continue
-            writer.writerow([key, value])
-        text = buf.getvalue()
+        text = _csv_text(
+            [key, value]
+            for key, value in report.items()
+            if key not in ("command", "parameters", "curve", "timing")
+        )
     else:
         text = json.dumps(report, indent=2) + "\n"
     if args.out:
@@ -202,45 +206,25 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command: str, args, parameters: dict, curve: CurveParams | None) -> dict:
+def _base_report(command: str, parameters: dict, curve: CurveParams | None) -> dict:
     report: dict = {"command": command, "parameters": parameters}
     if curve is not None:
         report["curve"] = {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d}
     return report
 
 
-def _finish(report: dict, args, started: float) -> None:
-    if not args.no_timing:
-        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    _emit(report, args)
-
-
-def cmd_pell(args) -> int:
-    started = time.perf_counter()
+def cmd_pell(args) -> tuple[dict, int]:
     problem = PellProblem(args.D, args.N)
     sols = pell_classes(problem)
     listed = pell_iterate(sols, args.bound)
     if args.count is not None:
         listed = listed[: args.count]
-    report = _base_report("pell", args, {"D": args.D, "N": args.N, "bound": args.bound, "count": args.count}, None)
+    report = _base_report("pell", {"D": args.D, "N": args.N, "bound": args.bound, "count": args.count}, None)
     report["fundamental"] = list(sols.fundamental) if sols.fundamental else None
     report["class_reps"] = [list(r) for r in sols.class_reps]
     report["finite_complete"] = sols.finite_complete
     report["solutions"] = [list(s) for s in listed]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "y"])
-        writer.writerows(listed)
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _finish(report, args, started)
-    return 0
+    return report, 0
 
 
 def _generate_points(curve: CurveParams, s_primes: SPrimeSet, count: int) -> list[QuadPoint]:
@@ -265,12 +249,11 @@ def _generate_points(curve: CurveParams, s_primes: SPrimeSet, count: int) -> lis
             seen.setdefault((pt.eps,) + pt.flat(), pt)
         for pt in search_exceptional(small):
             seen.setdefault((pt.eps,) + pt.flat(), pt)
-    ordered = sorted(seen.values(), key=lambda p: (abs(p.eps), p.eps, p.flat()))
+    ordered = sorted(seen.values(), key=_point_key)
     return ordered[:count]
 
 
-def cmd_families(args) -> int:
-    started = time.perf_counter()
+def cmd_families(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
     results = []
@@ -285,14 +268,12 @@ def cmd_families(args) -> int:
                 record = _point_record(curve, pt, source)
                 _check_family_verdict(source, record)
                 results.append(record)
-    report = _base_report("families", args, {"count": args.count}, curve)
+    report = _base_report("families", {"count": args.count}, curve)
     report["results"] = results
-    _finish(report, args, started)
-    return 0
+    return report, 0
 
 
-def cmd_search(args) -> int:
-    started = time.perf_counter()
+def cmd_search(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
     cfg = SearchConfig(
@@ -304,7 +285,6 @@ def cmd_search(args) -> int:
     )
     report = _base_report(
         "search",
-        args,
         {
             "eps_bound": args.eps_bound,
             "coeff_bound": args.coeff_bound,
@@ -313,23 +293,19 @@ def cmd_search(args) -> int:
         curve,
     )
     report["results"] = results
-    _finish(report, args, started)
-    return 0
+    return report, 0
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     point = _parse_point(args.point)
     record = _point_record(curve, point)
-    report = _base_report("classify", args, {"point": args.point}, curve)
+    report = _base_report("classify", {"point": args.point}, curve)
     report["results"] = [record]
-    _finish(report, args, started)
-    return 0
+    return report, 0
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
     points = _generate_points(curve, s_primes, args.count)
@@ -342,28 +318,25 @@ def cmd_verify(args) -> int:
         for name, ok in outcome.items():
             per_identity[name]["pass" if ok else "fail"] += 1
             failures += 0 if ok else 1
-    report = _base_report("verify", args, {"count": args.count}, curve)
+    report = _base_report("verify", {"count": args.count}, curve)
     report["identity_summary"] = {
         "points": len(points),
         "failures": failures,
         "per_identity": per_identity,
     }
-    _finish(report, args, started)
-    return 3 if failures else 0
+    return report, (3 if failures else 0)
 
 
-def cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def cmd_bounds(args) -> tuple[dict, int]:
     n1, n2 = compute_bounds(args.s, args.H)
-    report = _base_report("bounds", args, {"s": args.s, "H": args.H}, None)
+    report = _base_report("bounds", {"s": args.s, "H": args.H}, None)
     report["bounds"] = {
         "nondegenerate": str(n1),
         "nondegenerate_digits": len(str(n1)),
         "exceptional": str(n2),
         "exceptional_digits": len(str(n2)),
     }
-    _finish(report, args, started)
-    return 0
+    return report, 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -464,6 +437,7 @@ _REQUIRED = {
 
 
 def main(argv=None) -> int:
+    """Parse, validate, run one command, time it and emit its report."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -471,7 +445,14 @@ def main(argv=None) -> int:
         for key in _REQUIRED.get(args.command, ()):
             if getattr(args, key) is None:
                 raise DomainError(f"--{key} is required for {args.command}")
-        return args.func(args)
+        if getattr(args, "count", None) is not None and args.count < 0:
+            raise DomainError(f"--count must be nonnegative, got {args.count}")
+        started = time.perf_counter()
+        report, code = args.func(args)
+        if not args.no_timing:
+            report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+        _emit(report, args)
+        return code
     except PanicInvariant as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3

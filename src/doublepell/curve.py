@@ -178,6 +178,11 @@ def eval_fgh(curve: CurveParams, point: QuadPoint):
     """
     if not on_curve(curve, point):
         raise OffCurve(f"{point} is not on {curve}")
+    return _fgh(curve, point)
+
+
+def _fgh(curve: CurveParams, point: QuadPoint):
+    """eval_fgh without the on-curve check, for callers that made it."""
     x, y, z = point.coord_mqs()
     sa = MultiQuad.sqrt_int(curve.a)
     sb = MultiQuad.sqrt_int(curve.b)
@@ -265,17 +270,18 @@ class IdentityReport:
 
 
 def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:
-    """Evaluate every identity exactly at the conjugate pair of `point`."""
-    if not on_curve(curve, point):
-        raise OffCurve(f"{point} is not on {curve}")
+    """Evaluate every identity exactly at the conjugate pair of `point`.
+
+    sym_invariants makes the one on-curve check; the conjugate of an
+    on-curve point is on the curve too.
+    """
+    sym = sym_invariants(curve, point)
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     sa = MultiQuad.sqrt_int(a)
     sb = MultiQuad.sqrt_int(b)
     sab = sa * sb
-    conj = point.conjugate()
-    f, g, h = eval_fgh(curve, point)
-    f2, g2, h2 = eval_fgh(curve, conj)
-    sym = sym_invariants(curve, point)
+    f, g, h = _fgh(curve, point)
+    f2, g2, h2 = _fgh(curve, point.conjugate())
 
     linear = sb * f - sa * g == h
     inverse = c * sb * f.inverse() - d * sa * g.inverse() == h
@@ -333,21 +339,20 @@ def compute_bounds(s: int, H: int) -> tuple[int, int]:
 def canonical_representative(point: QuadPoint) -> QuadPoint:
     """Deterministic representative of the orbit of `point` under coordinate
     sign flips and conjugation: the variant with lexicographically maximal
-    (u, v) sequence, which puts nonnegative entries first."""
-    best = None
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                for tau in (1, -1):
-                    cand = QuadPoint.make(
-                        point.eps,
-                        (sx * point.x[0], sx * tau * point.x[1]),
-                        (sy * point.y[0], sy * tau * point.y[1]),
-                        (sz * point.z[0], sz * tau * point.z[1]),
-                    )
-                    if best is None or cand.flat() > best.flat():
-                        best = cand
-    return best
+    (u, v) sequence, which puts nonnegative entries first.
+
+    Sign flips keep eps squarefree and the radical parts nonzero, so the
+    winner needs no canonicalization through make().
+    """
+    (ux, vx), (uy, vy), (uz, vz) = point.x, point.y, point.z
+    best = max(
+        (sx * ux, sx * tau * vx, sy * uy, sy * tau * vy, sz * uz, sz * tau * vz)
+        for sx in (1, -1)
+        for sy in (1, -1)
+        for sz in (1, -1)
+        for tau in (1, -1)
+    )
+    return QuadPoint(point.eps, best[0:2], best[2:4], best[4:6])
 
 
 def pair_key(point: QuadPoint):
@@ -357,11 +362,12 @@ def pair_key(point: QuadPoint):
     return (point.eps,) + tuple(sorted((k1, k2)))
 
 
+def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
+    """True when the denominator of q is supported on `primes`."""
+    return q.denominator == 1 or set(factorize(q.denominator)) <= set(primes)
+
+
 def is_s_integral(point: QuadPoint, primes: Iterable[int]) -> bool:
     """True when every coordinate denominator is supported on `primes`."""
     allowed = set(primes)
-    for u, v in (point.x, point.y, point.z):
-        for q in (u, v):
-            if q.denominator != 1 and not set(factorize(q.denominator)) <= allowed:
-                return False
-    return True
+    return all(_is_s_fraction(q, allowed) for q in point.flat())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import DivisionByZero, DomainError
 
@@ -198,12 +198,6 @@ class MultiQuad:
 
     # --- inspection ---
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def coeff(self, rad: int) -> Fraction:
-        return self._terms.get(rad, Fraction(0))
-
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._terms.items()))
 
@@ -225,23 +219,6 @@ class MultiQuad:
             root = math.sqrt(rad) if rad > 0 else 1j * math.sqrt(-rad)
             total += float(co) * root
         return total
-
-    # --- serialization: (radicand, numerator, denominator) triples ---
-
-    def to_triples(self) -> list[tuple[int, str, str]]:
-        return [
-            (rad, str(co.numerator), str(co.denominator))
-            for rad, co in self.items()
-        ]
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Sequence]) -> "MultiQuad":
-        terms: dict[int, Fraction] = {}
-        for rad, num, den in triples:
-            rad = int(rad)
-            co = Fraction(int(num), int(den))
-            terms[rad] = terms.get(rad, Fraction(0)) + co
-        return cls(terms)
 
     # --- arithmetic ---
 
@@ -340,32 +317,6 @@ class MultiQuad:
         if has_negative_one:
             return -1
         raise DomainError("rational value has no split key")
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = MultiQuad.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conjugate_under(self, p: int) -> "MultiQuad":
         """Negate every term whose radicand p divides; an involution.

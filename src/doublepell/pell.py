@@ -135,13 +135,11 @@ def _branch_starts(rep: tuple[int, int], N: int):
 def _iterate_class(rep, fund, D, N, bound):
     """All class elements x + y*sqrt(D) with positive value below the cap
     implied by |y| <= bound; no sign expansion."""
-    x1, y1 = fund
     cap = isqrt(abs(N) + D * bound * bound) + bound * (isqrt(D) + 1) + 1
-    for x0, y0 in _branch_starts(rep, N):
-        x, y = x0, y0
+    for x, y in _branch_starts(rep, N):
         while _u_le(x, y, D, cap):
             yield x, y
-            x, y = x * x1 + D * y * y1, x * y1 + y * x1
+            x, y = pell_compose((x, y), fund, D)
 
 
 def pell_classes(problem: PellProblem) -> PellSolutionSet:

@@ -18,6 +18,7 @@ from .curve import (
     CurveParams,
     QuadPoint,
     SPrimeSet,
+    _is_s_fraction,
     canonical_representative,
     on_curve,
     sym_invariants,
@@ -121,10 +122,6 @@ def _squarefree_eps_range(limit: int) -> list[int]:
     return out
 
 
-def _is_s_fraction(q: Fraction, primes) -> bool:
-    return q.denominator == 1 or set(factorize(q.denominator)) <= set(primes)
-
-
 def _point_key(p: QuadPoint):
     return (abs(p.eps), p.eps, p.flat())
 
@@ -162,40 +159,36 @@ def _complete_square(t: int) -> tuple[Fraction, int]:
     return _squarefree_part_fraction(Fraction(t))
 
 
-def enumerate_family_xy(cfg: SearchConfig) -> list[QuadPoint]:
-    """Points over integral solutions of y^2 = a x^2 + c, with z completed
-    as sqrt(b x^2 + d); ascending |x|, canonical representatives."""
-    curve = cfg.curve
-    sols = pell_classes(PellProblem(curve.a, curve.c))
+def _enumerate_x_family(cfg: SearchConfig, conic, completion, swap: bool) -> list[QuadPoint]:
+    """Points over integral (x, w) on w^2 = conic[0] x^2 + conic[1], the third
+    coordinate completed as sqrt(completion[0] x^2 + completion[1]); w is y
+    and the completed coordinate z, or the reverse when `swap`.  Ascending
+    |x|, canonical representatives."""
+    sols = pell_classes(PellProblem(*conic))
     points = []
-    for y_abs, x_abs in _iter_pell_pairs(sols, cfg.family_count):
-        v, eps = _complete_square(curve.b * x_abs * x_abs + curve.d)
-        if eps == 1:
-            pt = QuadPoint.rational(x_abs, y_abs, v)
-        else:
-            pt = QuadPoint.make(eps, (x_abs, 0), (y_abs, 0), (0, v))
+    for w_abs, x_abs in _iter_pell_pairs(sols, cfg.family_count):
+        v, eps = _complete_square(completion[0] * x_abs * x_abs + completion[1])
+        # With eps = 1, make() folds the completed (0, v) into (v, 0).
+        w, t = (w_abs, 0), (0, v)
+        pt = QuadPoint.make(eps, (x_abs, 0), *((t, w) if swap else (w, t)))
         points.append(canonical_representative(pt))
         if len(points) == cfg.family_count:
             break
     return points
+
+
+def enumerate_family_xy(cfg: SearchConfig) -> list[QuadPoint]:
+    """Points over integral solutions of y^2 = a x^2 + c, with z completed
+    as sqrt(b x^2 + d); ascending |x|, canonical representatives."""
+    curve = cfg.curve
+    return _enumerate_x_family(cfg, (curve.a, curve.c), (curve.b, curve.d), swap=False)
 
 
 def enumerate_family_xz(cfg: SearchConfig) -> list[QuadPoint]:
     """Mirror of the xy family: integral (x, z) on z^2 = b x^2 + d with y
     completed as sqrt(a x^2 + c)."""
     curve = cfg.curve
-    sols = pell_classes(PellProblem(curve.b, curve.d))
-    points = []
-    for z_abs, x_abs in _iter_pell_pairs(sols, cfg.family_count):
-        v, eps = _complete_square(curve.a * x_abs * x_abs + curve.c)
-        if eps == 1:
-            pt = QuadPoint.rational(x_abs, v, z_abs)
-        else:
-            pt = QuadPoint.make(eps, (x_abs, 0), (0, v), (z_abs, 0))
-        points.append(canonical_representative(pt))
-        if len(points) == cfg.family_count:
-            break
-    return points
+    return _enumerate_x_family(cfg, (curve.b, curve.d), (curve.a, curve.c), swap=True)
 
 
 def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:

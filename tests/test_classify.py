@@ -6,14 +6,12 @@ from doublepell import (
     SPrimeSet,
     Verdict,
     classify,
-    conjugate_point,
     detect_degenerate,
     exceptional_eps_candidates,
     family_image,
     loci_from_invariants,
     loci_from_signs,
     sym_invariants,
-    two_term_unit_check,
     validate_curve,
 )
 
@@ -26,15 +24,15 @@ def curve():
 class TestConjugatePoint:
     def test_flips_radical_part(self):
         p = QuadPoint.make(13, (2, 0), (3, 0), (0, 1))
-        assert conjugate_point(p) == QuadPoint.make(13, (2, 0), (3, 0), (0, -1))
+        assert p.conjugate() == QuadPoint.make(13, (2, 0), (3, 0), (0, -1))
 
     def test_rational_fixed(self):
         p = QuadPoint.rational(0, 1, 1)
-        assert conjugate_point(p) == p
+        assert p.conjugate() == p
 
     def test_pure_radical_x(self):
         p = QuadPoint.make(10, (0, 2), (9, 0), (11, 0))
-        assert conjugate_point(p) == QuadPoint.make(10, (0, -2), (9, 0), (11, 0))
+        assert p.conjugate() == QuadPoint.make(10, (0, -2), (9, 0), (11, 0))
 
 
 class TestDetectDegenerate:
@@ -174,15 +172,3 @@ class TestExceptionalEpsCandidates:
         cands = exceptional_eps_candidates(other, SPrimeSet.of(2, 3))
         assert 2 not in cands and 3 not in cands and 6 not in cands and 1 not in cands
         assert 5 in cands and -1 in cands
-
-
-class TestTwoTermUnitCheck:
-    def test_diagonal(self, curve):
-        assert two_term_unit_check(curve, QuadPoint.rational(0, 1, 1))
-
-    def test_family_point(self, curve):
-        assert two_term_unit_check(curve, QuadPoint.make(13, (2, 0), (3, 0), (0, 1)))
-
-    def test_holds_across_corpus_sample(self, corpus):
-        for curve, point in corpus[:120]:
-            assert two_term_unit_check(curve, point)

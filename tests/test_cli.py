@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import sys
+
+import pytest
 
 from doublepell.cli import main
 
@@ -272,3 +275,41 @@ class TestPlumbing:
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--curve", "2,3,1,1")
         assert code == 2 and "required" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pell", "2", "1", "--count", "-1"),
+            ("families", "--curve", "2,3,1,1", "--count", "-2"),
+            ("verify", "--curve", "2,3,1,1", "--count", "-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_count_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--no-timing")
+        assert code == 2 and out == ""
+        assert "--count must be nonnegative" in err
+
+
+class TestWorkPerPoint:
+    def test_invariants_and_curve_check_once_per_record(self, capsys, monkeypatch):
+        counts = {"sym_invariants": 0, "on_curve": 0}
+        curve_module = sys.modules["doublepell.curve"]
+        for name in counts:
+            original = getattr(curve_module, name)
+
+            def counted(*args, _fn=original, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.partition(".")[0] != "doublepell":
+                    continue
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        report = run_json(
+            capsys, "families", "--curve", "2,3,1,1", "--count", "3", "--no-timing"
+        )
+        records = len(report["results"])
+        assert records == 9
+        assert counts == {"sym_invariants": records, "on_curve": records}

@@ -213,15 +213,6 @@ def test_embedding_consistency():
             assert abs(inv * x.to_complex() - 1) <= 1e-9 * (1 + abs(inv))
 
 
-def test_serialization_round_trip():
-    x = MultiQuad({1: Fraction(3, 4), 2: -2, -5: Fraction(1, 7)})
-    triples = x.to_triples()
-    rads = [r for r, _, _ in triples]
-    assert rads == sorted(rads)
-    assert all(isinstance(num, str) and isinstance(den, str) for _, num, den in triples)
-    assert MultiQuad.from_triples(triples) == x
-
-
 def test_rational_value_guards():
     with pytest.raises(DomainError):
         MultiQuad({2: 1}).rational_value()
