@@ -410,11 +410,23 @@ _DEFAULTS = {
 _COMMON_DEFAULTS = {"format": "json", "out": None, "no_timing": False}
 
 
+# The type of each config value, as its flag parses it; null is accepted
+# only where the default is null.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("bound", "count", "eps_bound", "coeff_bound", "s", "H"), int),
+    **dict.fromkeys(("curve", "primes", "point", "out", "format"), str),
+    "no_timing": bool,
+}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # malformed JSON or bad UTF-8
+                raise DomainError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise DomainError("config file must hold a JSON object")
     defaults = dict(_COMMON_DEFAULTS)
@@ -423,6 +435,13 @@ def _apply_config(args: argparse.Namespace) -> None:
     unknown = set(config) - known
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None or (value is None and defaults[key] is None):
+            continue
+        if type(value) is not kind or (key == "format" and value not in ("json", "csv")):
+            expected = '"json" or "csv"' if key == "format" else kind.__name__
+            raise DomainError(f"config value for {key!r} must be {expected}, got {value!r}")
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, fallback))

@@ -8,6 +8,7 @@ identity checks tying all of them together.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -326,11 +327,26 @@ def points_at_infinity(curve: CurveParams) -> InfinityPoints:
 
 def compute_bounds(s: int, H: int) -> tuple[int, int]:
     """Exact values of the two finiteness bounds 2^(2835 s + 3) and
-    3 * 2^(1121 (s + H - 1) + 1)."""
+    3 * 2^(1121 (s + H - 1) + 1), refused before they are built when one
+    would have more digits than sys.get_int_max_str_digits() prints."""
     if s < 1:
         raise DomainError("s must be at least 1")
     if H < 1:
         raise DomainError("H must be at least 1")
+    # The limit came with Python 3.11 (and 3.10.7); before it there is none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        # 2^k < 10^limit iff k < bit_length(10^limit), as 10^limit is no
+        # power of two; 3 * 2^m < 10^limit iff 2^m <= (10^limit - 1) // 3.
+        ceiling = 10**limit
+        s_max = (ceiling.bit_length() - 4) // 2835
+        h_max = (((ceiling - 1) // 3).bit_length() - 2) // 1121 + 1 - s
+        for name, value, most in (("s", s, s_max), ("H", H, h_max)):
+            if value > most:
+                raise DomainError(
+                    f"{name} must be at most {most}: with s = {s}, H = {H} a bound "
+                    f"would exceed {limit} digits"
+                )
     n1 = 2 ** (2835 * s + 3)
     n2 = 3 * 2 ** (1121 * (s + H - 1) + 1)
     return n1, n2

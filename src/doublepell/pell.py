@@ -8,8 +8,10 @@ D < 0 and square D collapse to finite enumerations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 
 from .errors import DomainError, PanicInvariant
 from .exactmath import factorize
@@ -102,44 +104,51 @@ def pell_compose(p: tuple[int, int], q: tuple[int, int], D: int) -> tuple[int, i
     return x1 * x2 + D * y1 * y2, x1 * y2 + y1 * x2
 
 
-def _le_plus_sqrt(y: int, D: int, r: int) -> bool:
-    """Exact test of y*sqrt(D) <= r for integers y, r and D > 0."""
-    if y <= 0:
-        if r >= 0:
-            return True
-        return y * y * D >= r * r
-    if r < 0:
-        return False
-    return y * y * D <= r * r
+def _branches(sols: PellSolutionSet, ymax: int) -> list:
+    """The nonnegative solutions (x, y) of sols.problem with y <= ymax, as a
+    few lazy branches, each strictly ascending in y and each element checked
+    against x^2 - D*y^2 = N.
 
-
-def _u_le(x: int, y: int, D: int, cap: int) -> bool:
-    """Exact test of x + y*sqrt(D) <= cap."""
-    return _le_plus_sqrt(y, D, cap - x)
-
-
-def _branch_starts(rep: tuple[int, int], N: int):
-    """Start values covering both directions of unit composition.
-
-    rep has nonnegative entries.  Its conjugate, normalized to positive
-    real value, seeds the descending half of the class; sign symmetry at
-    emission supplies the rest.
+    Each class representative and its conjugate (negated when N < 0, so
+    that its value is positive) seed one branch start*eps^k, k >= 0, eps
+    the fundamental unit.  A branch's leading elements with a negative
+    entry have value below sqrt|N| and are skipped; after them x and y both
+    ascend.  A finite set is one branch: its sorted absolute pairs.
     """
-    x, y = rep
-    yield x, y
-    other = (x, -y) if N > 0 else (-x, y)
-    if other != (x, y):
-        yield other
+    D, N = sols.problem.D, sols.problem.N
+
+    def check(x, y):
+        if x * x - D * y * y != N:
+            raise PanicInvariant(f"emitted ({x},{y}) violates x^2-{D}y^2={N}")
+        return x, y
+
+    if sols.finite_complete:
+        pairs = sorted({(abs(x), abs(y)) for x, y in sols.class_reps}, key=itemgetter(1))
+        return [[check(x, y) for x, y in pairs if y <= ymax]]
+    x1, y1 = sols.fundamental
+
+    # pell_compose with the unit, inlined: this is pell_iterate's inner loop.
+    def branch(x, y):
+        while x < 0 or y < 0:
+            x, y = x * x1 + D * y * y1, x * y1 + y * x1
+        while y <= ymax:
+            yield check(x, y)
+            x, y = x * x1 + D * y * y1, x * y1 + y * x1
+
+    starts = {(x, -y) if N > 0 else (-x, y) for x, y in sols.class_reps}
+    starts.update(sols.class_reps)
+    return [branch(x, y) for x, y in starts]
 
 
-def _iterate_class(rep, fund, D, N, bound):
-    """All class elements x + y*sqrt(D) with positive value below the cap
-    implied by |y| <= bound; no sign expansion."""
-    cap = isqrt(abs(N) + D * bound * bound) + bound * (isqrt(D) + 1) + 1
-    for x, y in _branch_starts(rep, N):
-        while _u_le(x, y, D, cap):
-            yield x, y
-            x, y = pell_compose((x, y), fund, D)
+def _solution_stream(sols: PellSolutionSet, ymax: int):
+    """The nonnegative solutions with y <= ymax, lazily, in strictly
+    ascending y: the branches merged by y, less the repeat an ambiguous
+    class yields (each y has at most one x >= 0)."""
+    last = -1
+    for pair in heapq.merge(*_branches(sols, ymax), key=itemgetter(1)):
+        if pair[1] != last:
+            last = pair[1]
+            yield pair
 
 
 def pell_classes(problem: PellProblem) -> PellSolutionSet:
@@ -148,8 +157,10 @@ def pell_classes(problem: PellProblem) -> PellSolutionSet:
     D > 0 nonsquare: representatives with nonnegative entries are found by
     exhausting the window y <= y1*sqrt(|N|(x1+1)/(2D)) for N > 0 and the
     mirrored x-window for N < 0; both windows contain the classical bounds,
-    so the class list is complete.  D < 0 and square D are enumerated
-    outright and marked finite_complete.
+    so the class list is complete.  The candidates are taken in ascending
+    y; each one that no earlier representative's branches reached (walked
+    up to the largest candidate y) becomes a representative.
+    D < 0 and square D are enumerated outright and marked finite_complete.
     """
     D, N = problem.D, problem.N
     if D == 0:
@@ -204,49 +215,41 @@ def pell_classes(problem: PellProblem) -> PellSolutionSet:
         if cand in covered:
             continue
         reps.append(cand)
-        for x, y in _iterate_class(cand, (x1, y1), D, N, ymax):
-            covered.add((abs(x), abs(y)))
+        for branch in _branches(PellSolutionSet(problem, (x1, y1), (cand,), False), ymax):
+            covered.update(branch)
     return PellSolutionSet(problem, (x1, y1), tuple(reps), False)
 
 
 def pell_iterate(sols: PellSolutionSet, bound: int) -> list[tuple[int, int]]:
-    """All solutions with |y| <= bound, deduplicated, sorted by |y| then x."""
+    """All solutions with |y| <= bound, deduplicated, sorted by |y| then x:
+    the branches of nonnegative solutions walked up to the bound, each
+    element expanded by sign."""
     if bound < 0:
         raise DomainError("bound must be nonnegative")
-    D, N = sols.problem.D, sols.problem.N
     out: set[tuple[int, int]] = set()
-
-    def emit(x: int, y: int):
-        if x * x - D * y * y != N:
-            raise PanicInvariant(f"emitted ({x},{y}) violates x^2-{D}y^2={N}")
-        out.update({(x, y), (-x, y), (x, -y), (-x, -y)})
-
-    if sols.finite_complete:
-        for x, y in sols.class_reps:
-            if abs(y) <= bound:
-                emit(x, y)
-    else:
-        for rep in sols.class_reps:
-            for x, y in _iterate_class(rep, sols.fundamental, D, N, bound):
-                if abs(y) <= bound:
-                    emit(x, y)
+    for branch in _branches(sols, bound):
+        for x, y in branch:
+            out.update({(x, y), (-x, y), (x, -y), (-x, -y)})
     return sorted(out, key=lambda t: (abs(t[1]), t[0], t[1]))
 
 
-def solve_conic(A: int, B: int, C: int, bound: int) -> list[tuple[int, int]]:
-    """All integer solutions of A*y^2 - B*z^2 = C with |z| <= bound.
-
-    Substitutes u = A*y, solves u^2 - (A*B)*z^2 = A*C, and keeps u divisible
-    by A.
-    """
-    if A == 0 or B == 0 or C == 0:
-        raise DomainError("conic coefficients must be nonzero")
-    sols = pell_classes(PellProblem(A * B, A * C))
-    out = set()
-    for u, z in pell_iterate(sols, bound):
+def _conic_stream(A: int, B: int, C: int, zmax: int):
+    """Nonnegative solutions (y, z) of A*y^2 - B*z^2 = C with z <= zmax,
+    lazily, in strictly ascending z: u = A*y on u^2 - (A*B)*z^2 = A*C, walked
+    up to zmax, which also ends a walk where A divides no u."""
+    for u, z in _solution_stream(pell_classes(PellProblem(A * B, A * C)), zmax):
         if u % A == 0:
             y = u // A
             if A * y * y - B * z * z != C:
                 raise PanicInvariant("conic substitution produced a bad pair")
-            out.add((y, z))
+            yield y, z
+
+
+def solve_conic(A: int, B: int, C: int, bound: int) -> list[tuple[int, int]]:
+    """All integer solutions of A*y^2 - B*z^2 = C with |z| <= bound."""
+    if A == 0 or B == 0 or C == 0:
+        raise DomainError("conic coefficients must be nonzero")
+    out = set()
+    for y, z in _conic_stream(A, B, C, bound):
+        out.update({(y, z), (-y, z), (y, -z), (-y, -z)})
     return sorted(out, key=lambda t: (abs(t[1]), abs(t[0]), t[1], t[0]))

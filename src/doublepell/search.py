@@ -25,9 +25,11 @@ from .curve import (
 )
 from .errors import DomainError, PanicInvariant
 from .exactmath import factorize, sqrt_fraction, squarefree_decompose
-from .pell import PellProblem, PellSolutionSet, pell_classes, pell_iterate, solve_conic
+from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes, pell_iterate
 
-_GROWTH_CAP = 10**30
+# The family walks stop when the Pell y (x for the x families, z for yz)
+# passes this cap, so a family with no further point still ends.
+_PELL_Y_CAP = 2**100
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,6 @@ def _sqrt_in_quad(r: Fraction, i: Fraction, eps: int) -> list[tuple[Fraction, Fr
     return sorted(set(sols))
 
 
-def _squarefree_part_fraction(t: Fraction) -> tuple[Fraction, int]:
-    """Write t = v^2 * eps with eps a squarefree integer and v > 0 rational."""
-    sp, dp = squarefree_decompose(t.numerator)
-    sq, dq = squarefree_decompose(t.denominator)
-    return Fraction(sp, sq * dq), dp * dq
-
-
 def _denominators(primes, cap: int) -> list[int]:
     dens = {1}
     for p in sorted(primes):
@@ -126,51 +121,21 @@ def _point_key(p: QuadPoint):
     return (abs(p.eps), p.eps, p.flat())
 
 
-def _iter_pell_pairs(sols: PellSolutionSet, want: int):
-    """Distinct nonnegative solution pairs, ascending second entry.
-
-    For the infinite case the emission bound grows geometrically until
-    `want` pairs are available (or a safety cap is hit).
-    """
-    if sols.finite_complete:
-        yield from sorted(
-            {(abs(p), abs(q)) for p, q in sols.class_reps},
-            key=lambda t: (t[1], t[0]),
-        )
-        return
-    if not sols.class_reps:
-        return
-    bound = 16
-    while True:
-        pairs = sorted(
-            {(abs(p), abs(q)) for p, q in pell_iterate(sols, bound)},
-            key=lambda t: (t[1], t[0]),
-        )
-        if len(pairs) >= want or bound > _GROWTH_CAP:
-            yield from pairs
-            return
-        bound *= 64
-
-
-def _complete_square(t: int) -> tuple[Fraction, int]:
-    """t as v^2 * eps with eps squarefree; (0, 1) for t = 0."""
-    if t == 0:
-        return Fraction(0), 1
-    return _squarefree_part_fraction(Fraction(t))
-
-
 def _enumerate_x_family(cfg: SearchConfig, conic, completion, swap: bool) -> list[QuadPoint]:
     """Points over integral (x, w) on w^2 = conic[0] x^2 + conic[1], the third
     coordinate completed as sqrt(completion[0] x^2 + completion[1]); w is y
-    and the completed coordinate z, or the reverse when `swap`.  Ascending
-    |x|, canonical representatives."""
-    sols = pell_classes(PellProblem(*conic))
+    and the completed coordinate z, or the reverse when `swap`.  Walks the
+    Pell stream in ascending x until family_count points or x > _PELL_Y_CAP;
+    canonical representatives."""
     points = []
-    for w_abs, x_abs in _iter_pell_pairs(sols, cfg.family_count):
-        v, eps = _complete_square(completion[0] * x_abs * x_abs + completion[1])
-        # With eps = 1, make() folds the completed (0, v) into (v, 0).
-        w, t = (w_abs, 0), (0, v)
-        pt = QuadPoint.make(eps, (x_abs, 0), *((t, w) if swap else (w, t)))
+    for w, x in _solution_stream(pell_classes(PellProblem(*conic)), _PELL_Y_CAP):
+        radicand = completion[0] * x * x + completion[1]
+        # make() folds the square part of the radicand into the completed
+        # coordinate, and a square radicand into its rational part; a zero
+        # radicand makes the coordinate 0.
+        t = (0, 1) if radicand else (0, 0)
+        w_pair = (w, 0)
+        pt = QuadPoint.make(radicand or 1, (x, 0), *((t, w_pair) if swap else (w_pair, t)))
         points.append(canonical_representative(pt))
         if len(points) == cfg.family_count:
             break
@@ -193,35 +158,26 @@ def enumerate_family_xz(cfg: SearchConfig) -> list[QuadPoint]:
 
 def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral (y, z) with b y^2 - a z^2 = bc - ad, keeping the
-    subsequence where (y^2 - c)/a is an S-integer; x completes the point."""
+    subsequence where (y^2 - c)/a is an S-integer; x completes the point.
+    Walks the conic's stream in ascending z until family_count points or
+    z > _PELL_Y_CAP."""
     curve = cfg.curve
     primes = cfg.s_primes.primes
-    bound = 64
-    while True:
-        points = []
-        seen = set()
-        for y_val, z_val in solve_conic(curve.b, curve.a, curve.cross, bound):
-            key = (abs(y_val), abs(z_val))
-            if key in seen:
-                continue
-            seen.add(key)
-            t = Fraction(key[0] ** 2 - curve.c, curve.a)
-            if not _is_s_fraction(t, primes):
-                continue
-            if t == 0:
-                pt = QuadPoint.rational(0, key[0], key[1])
-            else:
-                v, eps = _squarefree_part_fraction(t)
-                if eps == 1:
-                    pt = QuadPoint.rational(v, key[0], key[1])
-                else:
-                    pt = QuadPoint.make(eps, (0, v), (key[0], 0), (key[1], 0))
-            points.append(canonical_representative(pt))
-            if len(points) == cfg.family_count:
-                return points
-        if bound > _GROWTH_CAP:
-            return points
-        bound *= 64
+    points = []
+    for y, z in _conic_stream(curve.b, curve.a, curve.cross, _PELL_Y_CAP):
+        t = Fraction(y * y - curve.c, curve.a)
+        if not _is_s_fraction(t, primes):
+            continue
+        if t == 0:
+            pt = QuadPoint.rational(0, y, z)
+        else:
+            # x = sqrt(p/q) = sqrt(p*q)/q; make() takes the square part.
+            p, q = t.numerator, t.denominator
+            pt = QuadPoint.make(p * q, (0, Fraction(1, q)), (y, 0), (z, 0))
+        points.append(canonical_representative(pt))
+        if len(points) == cfg.family_count:
+            break
+    return points
 
 
 def box_search(cfg: SearchConfig) -> list[QuadPoint]:

@@ -109,6 +109,23 @@ class TestFamiliesCommand:
             assert row["ux"] == rec["x"][0] and row["vz"] == rec["z"][1]
 
 
+    @pytest.mark.parametrize(
+        "curve, sources",
+        [
+            # (y^2 - 2)/4 is never integral, as y is even on 2y^2 - 4z^2 = 8.
+            ("4,2,2,-1", ["family_xz"] * 3),
+            # u^2 - 12z^2 = -8, the conic 4y^2 - 3z^2 = -2 after u = 4y, has
+            # solutions, but none with 4 | u.
+            ("3,4,1,2", ["family_xy"] * 3),
+        ],
+    )
+    def test_yz_walk_without_points_ends_at_its_cap(self, capsys, curve, sources):
+        report = run_json(
+            capsys, "families", "--curve", curve, "--count", "3", "--no-timing"
+        )
+        assert [rec["source"] for rec in report["results"]] == sources
+
+
 class TestSearchCommand:
     def test_reference_box(self, capsys):
         report = run_json(
@@ -226,6 +243,20 @@ class TestBoundsCommand:
         report = run_json(capsys, "bounds", "--s", "2", "--H", "1", "--no-timing")
         assert report["bounds"]["nondegenerate"] == str(2**5673)
 
+    @pytest.mark.parametrize(
+        "argv, largest",
+        [(("--s", "6"), "s must be at most 5"), (("--H", "13"), "H must be at most 12")],
+        ids=["s", "H"],
+    )
+    def test_past_printable_range_exits_2(self, capsys, argv, largest):
+        code, out, err = run_cli(capsys, "bounds", *argv, "--no-timing")
+        assert code == 2 and out == ""
+        assert largest in err
+
+    def test_largest_printable_s(self, capsys):
+        report = run_json(capsys, "bounds", "--s", "5", "--no-timing")
+        assert report["bounds"]["nondegenerate_digits"] == 4269
+
 
 class TestPlumbing:
     def test_deterministic_output_without_timing(self, capsys):
@@ -272,6 +303,47 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "families", "--config", str(config))
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("families",), {"curve": "2,3,1,1", "count": "3"}),
+            (("families",), {"curve": "2,3,1,1", "count": True}),
+            (("families",), {"curve": "2,3,1,1", "count": None}),
+            (("families",), {"curve": [2, 3, 1, 1]}),
+            (("families",), {"curve": "2,3,1,1", "primes": 2}),
+            (("families",), {"curve": "2,3,1,1", "format": "xml"}),
+            (("families",), {"curve": "2,3,1,1", "no_timing": 1}),
+            (("families",), {"curve": "2,3,1,1", "out": 7}),
+            (("pell", "2", "1"), {"bound": "x"}),
+            (("pell", "2", "1"), {"bound": None}),
+            (("search",), {"curve": "2,3,1,1", "coeff_bound": 2.5}),
+            (("search",), {"curve": "2,3,1,1", "eps_bound": "3"}),
+            (("classify", "--curve", "2,3,1,1"), {"point": 1}),
+            (("bounds",), {"s": "1"}),
+            (("bounds",), {"H": False}),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 2 and out == ""
+        assert "config value for" in err
+
+    @pytest.mark.parametrize("content", [b'{"curve": "2,3,1,1",', b'{"curve": "\xff"}'])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "families", "--config", str(path))
+        assert code == 2 and out == ""
+        assert "not valid JSON" in err
+
+    def test_config_null_where_default_is_null(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"curve": "2,3,1,1", "count": 1, "primes": None, "out": None}))
+        report = run_json(capsys, "families", "--config", str(path), "--no-timing")
+        assert len(report["results"]) == 3
+
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--curve", "2,3,1,1")
         assert code == 2 and "required" in err
@@ -291,25 +363,48 @@ class TestPlumbing:
         assert "--count must be nonnegative" in err
 
 
+def count_calls(monkeypatch, counts, module_name, name):
+    """Count in counts[name] the calls of `name` through every doublepell
+    binding of it."""
+    original = getattr(sys.modules[module_name], name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    for bound_in, module in list(sys.modules.items()):
+        if bound_in.partition(".")[0] != "doublepell":
+            continue
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
 class TestWorkPerPoint:
     def test_invariants_and_curve_check_once_per_record(self, capsys, monkeypatch):
         counts = {"sym_invariants": 0, "on_curve": 0}
-        curve_module = sys.modules["doublepell.curve"]
         for name in counts:
-            original = getattr(curve_module, name)
-
-            def counted(*args, _fn=original, _name=name):
-                counts[_name] += 1
-                return _fn(*args)
-
-            for module_name, module in list(sys.modules.items()):
-                if module_name.partition(".")[0] != "doublepell":
-                    continue
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+            count_calls(monkeypatch, counts, "doublepell.curve", name)
         report = run_json(
             capsys, "families", "--curve", "2,3,1,1", "--count", "3", "--no-timing"
         )
         records = len(report["results"])
         assert records == 9
         assert counts == {"sym_invariants": records, "on_curve": records}
+
+    def test_one_pell_solve_per_family_and_one_make_per_record(self, capsys, monkeypatch):
+        counts = {"pell_classes": 0, "make": 0}
+        count_calls(monkeypatch, counts, "doublepell.pell", "pell_classes")
+        quad_point = sys.modules["doublepell.curve"].QuadPoint
+        original_make = quad_point.make.__func__
+
+        def counted_make(cls, *args):
+            counts["make"] += 1
+            return original_make(cls, *args)
+
+        monkeypatch.setattr(quad_point, "make", classmethod(counted_make))
+        report = run_json(
+            capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
+        )
+        records = len(report["results"])
+        assert records == 60
+        assert counts == {"pell_classes": 3, "make": records}

@@ -185,10 +185,10 @@ class TestIterate:
     def test_desk_scale_completeness(self):
         # Full-scale version runs in the acceptance suite; a denser but
         # shallower sweep here keeps unit runs quick.
-        for D in range(-6, 16):
+        for D in range(-6, 41):
             if D == 0:
                 continue
-            for N in range(-8, 9):
+            for N in range(-12, 13):
                 if N == 0:
                     continue
                 got = set(pell_iterate(pell_classes(PellProblem(D, N)), 400))

@@ -52,6 +52,14 @@ class TestFamilyXY:
         barren = validate_curve(5, 7, 2, 3)  # y^2 = 5x^2 + 2 fails mod 5
         assert enumerate_family_xy(SearchConfig(barren, family_count=3)) == []
 
+    def test_completed_coordinate_can_vanish(self):
+        # z^2 = x^2 - 1 is 0 at x = 1, on y^2 = 2x^2 - 1.
+        thin = validate_curve(2, 1, -1, -1)
+        assert enumerate_family_xy(SearchConfig(thin, family_count=2)) == [
+            QuadPoint.rational(1, 1, 0),
+            QuadPoint.make(6, (5, 0), (7, 0), (0, 2)),
+        ]
+
 
 class TestFamilyXZ:
     def test_reference_sequence(self, curve):
