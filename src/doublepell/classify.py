@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .curve import CurveParams, QuadPoint, SPrimeSet, SymPoint, sym_invariants
 from .errors import DomainError, PanicInvariant
-from .exactmath import MultiQuad, factorize, squarefree_decompose
+from .exactmath import MultiQuad, factorize, isqrt_exact
 
 
 class Verdict(str, Enum):
@@ -132,12 +132,10 @@ def _sign_pattern(point: QuadPoint) -> tuple[str, str, str] | None:
     return tuple(symbols)
 
 
-def _square_classes_of_base(curve: CurveParams) -> set[int]:
-    classes = set()
-    for n in (curve.a, curve.b, curve.a * curve.b):
-        _, sf = squarefree_decompose(n)
-        classes.add(sf)
-    return classes
+def _in_base_square_class(curve: CurveParams, n: int) -> bool:
+    """True when n*m is a square for m = a, b or ab; for squarefree n, when
+    n is the squarefree part of one of them."""
+    return any(isqrt_exact(n * m) is not None for m in (curve.a, curve.b, curve.a * curve.b))
 
 
 def classify(curve: CurveParams, point: QuadPoint) -> Classification:
@@ -163,7 +161,7 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
 
     if point.eps == 1:
         verdict = Verdict.RATIONAL
-    elif point.eps in _square_classes_of_base(curve):
+    elif _in_base_square_class(curve, point.eps):
         verdict = Verdict.K_RATIONAL
     elif not inv_loci:
         verdict = Verdict.SPORADIC
@@ -213,7 +211,6 @@ def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[
     support inside (primes of bc-ad) union S union {-1}, excluding the
     square classes of 1, a, b and ab."""
     primes = sorted(set(factorize(curve.cross)) | set(s_primes.primes))
-    excluded = _square_classes_of_base(curve) | {1}
     candidates = set()
     for r in range(len(primes) + 1):
         for combo in combinations(primes, r):
@@ -221,7 +218,7 @@ def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[
             for p in combo:
                 value *= p
             for signed in (value, -value):
-                if signed not in excluded:
+                if signed != 1 and not _in_base_square_class(curve, signed):
                     candidates.add(signed)
     return sorted(candidates, key=lambda v: (abs(v), v))
 

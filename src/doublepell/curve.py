@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -46,6 +47,13 @@ class CurveParams:
     def cross(self) -> int:
         """b*c - a*d, the constant of the third conic."""
         return self.b * self.c - self.a * self.d
+
+    @cached_property
+    def roots(self) -> tuple[MultiQuad, MultiQuad, MultiQuad]:
+        """(sqrt(a), sqrt(b), sqrt(a)*sqrt(b)) under the fixed embedding."""
+        sa = MultiQuad.sqrt_int(self.a)
+        sb = MultiQuad.sqrt_int(self.b)
+        return sa, sb, sa * sb
 
 
 def validate_curve(a: int, b: int, c: int, d: int) -> CurveParams:
@@ -92,7 +100,8 @@ class QuadPoint:
     """A point (x, y, z) with coordinates u + v*sqrt(eps), u, v rational.
 
     eps is squarefree; eps = 1 encodes rational points (all v = 0).
-    Construct through make() so the representation is canonical.
+    make() is the one validating constructor; the raw constructor makes only
+    structural checks and trusts eps to be squarefree, as later steps do.
     """
 
     eps: int
@@ -103,9 +112,6 @@ class QuadPoint:
     def __post_init__(self):
         if self.eps == 0:
             raise DomainError("eps must be nonzero")
-        _, sf = squarefree_decompose(self.eps)
-        if sf != self.eps:
-            raise DomainError("eps must be squarefree; use QuadPoint.make")
         radical = False
         for u, v in (self.x, self.y, self.z):
             if not (isinstance(u, Fraction) and isinstance(v, Fraction)):
@@ -142,19 +148,16 @@ class QuadPoint:
         u, v = self.x
         a, b = self.y
         p, q = self.z
-        return QuadPoint.make(self.eps, (u, -v), (a, -b), (p, -q))
+        return QuadPoint(self.eps, (u, -v), (a, -b), (p, -q))
 
     def is_rational(self) -> bool:
         return self.eps == 1
 
     def coord_mqs(self) -> tuple[MultiQuad, MultiQuad, MultiQuad]:
         def mq(pair: Coord) -> MultiQuad:
+            # eps is squarefree, and v = 0 when eps = 1.
             u, v = pair
-            if self.eps == 1:
-                # v vanishes by the invariant; a {1: u, 1: v} literal would
-                # silently drop u.
-                return MultiQuad({1: u})
-            return MultiQuad({1: u, self.eps: v})
+            return MultiQuad._of({rad: co for rad, co in ((1, u), (self.eps, v)) if co})
 
         return mq(self.x), mq(self.y), mq(self.z)
 
@@ -185,8 +188,7 @@ def eval_fgh(curve: CurveParams, point: QuadPoint):
 def _fgh(curve: CurveParams, point: QuadPoint):
     """eval_fgh without the on-curve check, for callers that made it."""
     x, y, z = point.coord_mqs()
-    sa = MultiQuad.sqrt_int(curve.a)
-    sb = MultiQuad.sqrt_int(curve.b)
+    sa, sb, _ = curve.roots
     f = y + sa * x
     g = z + sb * x
     h = sb * y - sa * z
@@ -230,9 +232,7 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     def cross(p1: Coord, p2: Coord) -> Fraction:
         return 2 * (p1[0] * p2[0] - e * p1[1] * p2[1])
 
-    sa = MultiQuad.sqrt_int(a)
-    sb = MultiQuad.sqrt_int(b)
-    sab = sa * sb
+    sa, sb, sab = curve.roots
     xx, yy, zz = norm(point.x), norm(point.y), norm(point.z)
     ff = MultiQuad.from_rational(yy + a * xx) + sa * cross(point.x, point.y)
     gg = MultiQuad.from_rational(zz + b * xx) + sb * cross(point.x, point.z)
@@ -278,9 +278,7 @@ def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:
     """
     sym = sym_invariants(curve, point)
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    sa = MultiQuad.sqrt_int(a)
-    sb = MultiQuad.sqrt_int(b)
-    sab = sa * sb
+    sa, sb, sab = curve.roots
     f, g, h = _fgh(curve, point)
     f2, g2, h2 = _fgh(curve, point.conjugate())
 
@@ -313,8 +311,7 @@ class InfinityPoints:
 
 def points_at_infinity(curve: CurveParams) -> InfinityPoints:
     one = MultiQuad.one()
-    sa = MultiQuad.sqrt_int(curve.a)
-    sb = MultiQuad.sqrt_int(curve.b)
+    sa, sb, _ = curve.roots
     return InfinityPoints(
         (
             (one, sa, sb),

@@ -177,8 +177,17 @@ class MultiQuad:
     # --- constructors ---
 
     @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> "MultiQuad":
+        """Wrap unchecked terms: squarefree radicands, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def from_rational(cls, q: Coefficient) -> "MultiQuad":
-        return cls({1: Fraction(q)})
+        q = Fraction(q)
+        return cls._of({1: q} if q else {})
 
     @classmethod
     def zero(cls) -> "MultiQuad":
@@ -186,7 +195,7 @@ class MultiQuad:
 
     @classmethod
     def one(cls) -> "MultiQuad":
-        return cls({1: 1})
+        return cls._of({1: Fraction(1)})
 
     @classmethod
     def sqrt_int(cls, n: int) -> "MultiQuad":
@@ -194,7 +203,7 @@ class MultiQuad:
         if n == 0:
             return cls()
         s, d = squarefree_decompose(n)
-        return cls({d: s})
+        return cls._of({d: Fraction(s)})
 
     # --- inspection ---
 
@@ -241,16 +250,12 @@ class MultiQuad:
                 acc.pop(rad, None)
             else:
                 acc[rad] = cur
-        out = MultiQuad()
-        out._terms = acc
-        return out
+        return MultiQuad._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiQuad()
-        out._terms = {rad: -co for rad, co in self._terms.items()}
-        return out
+        return MultiQuad._of({rad: -co for rad, co in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,46 +282,51 @@ class MultiQuad:
                     acc.pop(rad, None)
                 else:
                     acc[rad] = cur
-        out = MultiQuad()
-        out._terms = acc
-        return out
+        return MultiQuad._of(acc)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "MultiQuad":
         """Exact multiplicative inverse by iterated conjugation.
 
-        Conjugating under a prime dividing some support radicand and
-        multiplying removes that prime from the support; recursing reaches
-        a rational, whose inverse is plain Fraction arithmetic.
+        The flip under the split key k is the automorphism sqrt(p) -> -sqrt(p)
+        for every prime p of k (complex conjugation for k = -1), by the parity
+        argument in _split_key.  A value times its flip is fixed by it, so no
+        prime of k divides a radicand of the product: the primes of the
+        support shrink at each step until a rational is left, whose inverse is
+        plain Fraction arithmetic.  No step factors a radicand.
         """
         if self.is_zero():
             raise DivisionByZero("inverse of 0")
         num = MultiQuad.one()
         den = self
         while not den.is_rational():
-            p = den._split_key()
-            conj = den.conjugate_under(p)
+            conj = den._flip(den._split_key())
             num = num * conj
             den = den * conj
         return num * MultiQuad.from_rational(1 / den.rational_value())
 
     def _split_key(self) -> int:
-        """Smallest prime dividing a support radicand of |.| > 1, else -1."""
-        best = None
-        has_negative_one = False
-        for rad in self._terms:
-            if abs(rad) > 1:
-                p = min(factorize(rad))
-                if best is None or p < best:
-                    best = p
-            elif rad == -1:
-                has_negative_one = True
-        if best is not None:
-            return best
-        if has_negative_one:
+        """-1 when every support radicand is +-1, else a k > 1 that divides
+        some radicand r and, for each one, divides r or is coprime to it.
+
+        Start from any |r| > 1 and replace k by gcd(k, r) whenever that is
+        > 1; each k divides the last, so radicands already passed stay
+        divided or coprime.  Radicands are squarefree, so a prime p of k
+        divides r exactly when k does, and p has odd parity in a product of
+        radicands exactly when k divides an odd number of its factors.
+        Negating the terms k divides is therefore sqrt(p) -> -sqrt(p), an
+        automorphism, just as for a prime key.
+        """
+        rads = [abs(rad) for rad in self._terms if abs(rad) > 1]
+        if not rads:
             return -1
-        raise DomainError("rational value has no split key")
+        key = rads[0]
+        for rad in rads:
+            g = math.gcd(key, rad)
+            if g > 1:
+                key = g
+        return key
 
     def conjugate_under(self, p: int) -> "MultiQuad":
         """Negate every term whose radicand p divides; an involution.
@@ -325,18 +335,15 @@ class MultiQuad:
         """
         if p != -1 and not _is_probable_prime(p):
             raise DomainError("conjugation key must be a prime or -1")
-        if p == -1:
-            flipped = {
-                rad: (-co if rad < 0 else co) for rad, co in self._terms.items()
-            }
-        else:
-            flipped = {
-                rad: (-co if rad % p == 0 else co)
-                for rad, co in self._terms.items()
-            }
-        out = MultiQuad()
-        out._terms = flipped
-        return out
+        return self._flip(p)
+
+    def _flip(self, key: int) -> "MultiQuad":
+        """Negate the terms whose radicand is negative (key = -1) or that key
+        divides."""
+        return MultiQuad._of({
+            rad: -co if (rad < 0 if key == -1 else rad % key == 0) else co
+            for rad, co in self._terms.items()
+        })
 
     # --- comparison ---
 

@@ -21,7 +21,6 @@ from .curve import (
     _is_s_fraction,
     canonical_representative,
     on_curve,
-    sym_invariants,
 )
 from .errors import DomainError, PanicInvariant
 from .exactmath import factorize, sqrt_fraction, squarefree_decompose
@@ -376,14 +375,13 @@ def cross_check_sunit(
     enumerated = None
     entries = []
     for point in points:
-        sym = sym_invariants(curve, point)
-        values = (sym.alpha, sym.beta, sym.gamma)
+        cls = classify(curve, point)
+        values = (cls.sym.alpha, cls.sym.beta, cls.sym.gamma)
         if not all(v.is_rational() for v in values):
             entries.append(SUnitCheckEntry(point, SKIPPED_IRRATIONAL))
             continue
         triple = tuple(v.rational_value() for v in values)
-        flags = classify(curve, point).degenerate_flags
-        if (1 in triple) != bool(flags):
+        if (1 in triple) != bool(cls.degenerate_flags):
             entries.append(SUnitCheckEntry(point, FAILED_FLAG_MISMATCH, triple))
             continue
         exponents = [_s_unit_exponents(t, primes) for t in triple]

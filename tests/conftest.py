@@ -6,6 +6,8 @@ and derives curve constants from it, which covers the sporadic class
 cheaply on many distinct curves.
 """
 
+import sys
+
 import pytest
 
 from doublepell import (
@@ -110,3 +112,24 @@ def corpus():
 @pytest.fixture(scope="session")
 def reference_curve():
     return validate_curve(2, 3, 1, 1)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(counts, module_name, name) counts in counts[name] the
+    calls of `name` through every doublepell binding of it."""
+
+    def install(counts, module_name, name):
+        original = getattr(sys.modules[module_name], name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        for bound_in, module in list(sys.modules.items()):
+            if bound_in.partition(".")[0] != "doublepell":
+                continue
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    return install

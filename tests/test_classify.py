@@ -1,6 +1,10 @@
+import math
+from itertools import combinations
+
 import pytest
 
 from doublepell import (
+    DegenerateCurve,
     DomainError,
     QuadPoint,
     SPrimeSet,
@@ -8,12 +12,23 @@ from doublepell import (
     classify,
     detect_degenerate,
     exceptional_eps_candidates,
+    factorize,
     family_image,
     loci_from_invariants,
     loci_from_signs,
+    squarefree_decompose,
     sym_invariants,
     validate_curve,
 )
+
+# a, b over -12..12 with no zero, for the square-class grids below.
+_GRID = [n for n in range(-12, 13) if n]
+
+
+def _base_classes(a, b):
+    """Squarefree parts of a, b and ab: the reference for the square-class
+    tests, built by factoring."""
+    return {squarefree_decompose(m)[1] for m in (a, b, a * b)}
 
 
 @pytest.fixture
@@ -106,6 +121,21 @@ class TestClassify:
         assert cls.multi_degenerate
         assert cls.degenerate_flags == frozenset({"alpha", "gamma"})
 
+    def test_k_rational_verdict_matches_squarefree_reference(self):
+        # x = sqrt(eps), y = 2, z = 1 lies on the curve with c = 4 - a*eps,
+        # d = 1 - b*eps; eps runs over the signed base classes.
+        for a in _GRID:
+            for b in _GRID:
+                classes = _base_classes(a, b)
+                for eps in {sign * e for e in classes for sign in (1, -1)} - {1}:
+                    try:
+                        curve = validate_curve(a, b, 4 - a * eps, 1 - b * eps)
+                    except DegenerateCurve:
+                        continue
+                    point = QuadPoint.make(eps, (0, 1), (2, 0), (1, 0))
+                    verdict = classify(curve, point).verdict
+                    assert (verdict is Verdict.K_RATIONAL) == (eps in classes), (a, b, eps)
+
     def test_rejects_off_curve(self, curve):
         with pytest.raises(DomainError):
             classify(curve, QuadPoint.rational(1, 1, 1))
@@ -172,3 +202,22 @@ class TestExceptionalEpsCandidates:
         cands = exceptional_eps_candidates(other, SPrimeSet.of(2, 3))
         assert 2 not in cands and 3 not in cands and 6 not in cands and 1 not in cands
         assert 5 in cands and -1 in cands
+
+    def test_matches_squarefree_reference(self):
+        for a in _GRID:
+            for b in _GRID:
+                try:
+                    curve = validate_curve(a, b, 3, 2)
+                except DegenerateCurve:
+                    continue
+                excluded = _base_classes(a, b) | {1}
+                for r in range(4):
+                    for s_primes in combinations((2, 3, 5), r):
+                        support = sorted(set(factorize(curve.cross)) | set(s_primes))
+                        expected = set()
+                        for k in range(len(support) + 1):
+                            for combo in combinations(support, k):
+                                expected |= {math.prod(combo), -math.prod(combo)}
+                        expected = sorted(expected - excluded, key=lambda v: (abs(v), v))
+                        got = exceptional_eps_candidates(curve, SPrimeSet.of(*s_primes))
+                        assert got == expected, (a, b, s_primes)

@@ -344,6 +344,21 @@ class TestPlumbing:
         report = run_json(capsys, "families", "--config", str(path), "--no-timing")
         assert len(report["results"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, curve",
+        [
+            (("families", "--curve=-1,9,3,2", "--count", "2"), [-1, 9, 3, 2]),
+            (
+                ("search", "--curve=-2,3,1,1", "--coeff-bound", "2", "--eps-bound", "6"),
+                [-2, 3, 1, 1],
+            ),
+        ],
+    )
+    def test_negative_first_curve_entry_with_equals_form(self, capsys, argv, curve):
+        # "--curve -1,9,3,2" would read -1,9,3,2 as an option and exit 2.
+        report = run_json(capsys, *argv, "--no-timing")
+        assert list(report["curve"].values()) == curve
+
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--curve", "2,3,1,1")
         assert code == 2 and "required" in err
@@ -363,27 +378,11 @@ class TestPlumbing:
         assert "--count must be nonnegative" in err
 
 
-def count_calls(monkeypatch, counts, module_name, name):
-    """Count in counts[name] the calls of `name` through every doublepell
-    binding of it."""
-    original = getattr(sys.modules[module_name], name)
-
-    def counted(*args):
-        counts[name] += 1
-        return original(*args)
-
-    for bound_in, module in list(sys.modules.items()):
-        if bound_in.partition(".")[0] != "doublepell":
-            continue
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-
-
 class TestWorkPerPoint:
-    def test_invariants_and_curve_check_once_per_record(self, capsys, monkeypatch):
+    def test_invariants_and_curve_check_once_per_record(self, capsys, count_calls):
         counts = {"sym_invariants": 0, "on_curve": 0}
         for name in counts:
-            count_calls(monkeypatch, counts, "doublepell.curve", name)
+            count_calls(counts, "doublepell.curve", name)
         report = run_json(
             capsys, "families", "--curve", "2,3,1,1", "--count", "3", "--no-timing"
         )
@@ -391,9 +390,11 @@ class TestWorkPerPoint:
         assert records == 9
         assert counts == {"sym_invariants": records, "on_curve": records}
 
-    def test_one_pell_solve_per_family_and_one_make_per_record(self, capsys, monkeypatch):
+    def test_one_pell_solve_per_family_and_one_make_per_record(
+        self, capsys, monkeypatch, count_calls
+    ):
         counts = {"pell_classes": 0, "make": 0}
-        count_calls(monkeypatch, counts, "doublepell.pell", "pell_classes")
+        count_calls(counts, "doublepell.pell", "pell_classes")
         quad_point = sys.modules["doublepell.curve"].QuadPoint
         original_make = quad_point.make.__func__
 
@@ -408,3 +409,15 @@ class TestWorkPerPoint:
         records = len(report["results"])
         assert records == 60
         assert counts == {"pell_classes": 3, "make": records}
+
+    def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
+        # QuadPoint.make factors each raw radicand once; the curve's two
+        # square roots add two more.  Nothing per point factors again.
+        counts = {"factorize": 0}
+        count_calls(counts, "doublepell.exactmath", "factorize")
+        report = run_json(
+            capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
+        )
+        records = len(report["results"])
+        assert records == 60
+        assert counts["factorize"] <= records + 4

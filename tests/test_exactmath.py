@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublepell import DivisionByZero, DomainError, MultiQuad, factorize, squarefree_decompose
+from doublepell import (
+    DivisionByZero,
+    DomainError,
+    MultiQuad,
+    exactmath,
+    factorize,
+    squarefree_decompose,
+)
 from doublepell.exactmath import sqrt_fraction
 
 
@@ -130,6 +137,32 @@ class TestInverse:
             if x.is_zero():
                 continue
             assert x * x.inverse() == 1
+
+
+    # Two 10-digit primes; their product stands for a radicand too large to
+    # factor cheaply.
+    BIG = 1_000_000_007 * 1_000_000_009
+
+    def test_random_composite_supports(self):
+        rng = random.Random(13)
+        pool = [6, 10, 15, 21, 35, -30, -1, self.BIG]
+        roots = {r: MultiQuad({r: 1}) for r in pool}
+        for _ in range(100):
+            x = MultiQuad.from_rational(rng.randint(-9, 9))
+            for r in rng.sample(pool, rng.randint(1, 4)):
+                x = x + rng.randint(-9, 9) * roots[r]
+            if x.is_zero():
+                continue
+            assert x * x.inverse() == 1
+
+    def test_large_radicand_is_not_factored(self, monkeypatch):
+        x = MultiQuad({1: 3, 6: -1, self.BIG: 2, -self.BIG * 5: 1})
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(exactmath, "factorize", refuse)
+        assert x * x.inverse() == 1
 
 
 class TestConjugateUnder:

@@ -314,6 +314,14 @@ class TestCrossCheckSUnit:
         assert report.entries[0].triple == (Fraction(1, 6), Fraction(-5, 3), Fraction(5, 2))
         assert not report.failures()
 
+    def test_invariants_once_per_point(self, count_calls):
+        counts = {"sym_invariants": 0}
+        count_calls(counts, "doublepell.curve", "sym_invariants")
+        square_curve = validate_curve(4, 9, -3, 32)
+        point = QuadPoint.make(5, (1, 1), (4, 1), (9, 1))
+        cross_check_sunit(SearchConfig(square_curve, SPrimeSet.of(2, 3, 5)), [point], 2)
+        assert counts == {"sym_invariants": 1}
+
     def test_irrational_triples_skipped(self, curve):
         points = [
             QuadPoint.make(13, (2, 0), (3, 0), (0, 1)),
