@@ -14,11 +14,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .errors import DomainError, PanicInvariant
-from .exactmath import factorize
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+from .exactmath import factorize, isqrt_exact
 
 
 def divisors(n: int) -> list[int]:
@@ -170,9 +166,8 @@ def pell_classes(problem: PellProblem) -> PellSolutionSet:
         sols: set[tuple[int, int]] = set()
         if N > 0:
             for y in range(isqrt(N // -D) + 1):
-                x2 = N + D * y * y
-                if x2 >= 0 and is_square(x2):
-                    x = isqrt(x2)
+                x = isqrt_exact(N + D * y * y)
+                if x is not None:
                     sols.update({(x, y), (-x, y), (x, -y), (-x, -y)})
         return PellSolutionSet(problem, None, tuple(sorted(sols)), True)
     m = isqrt(D)
@@ -195,17 +190,19 @@ def pell_classes(problem: PellProblem) -> PellSolutionSet:
         lim = y1 * y1 * N * (x1 + 1)
         y = 0
         while 2 * D * y * y <= lim:
-            x2 = N + D * y * y
-            if is_square(x2):
-                cands.append((isqrt(x2), y))
+            x = isqrt_exact(N + D * y * y)
+            if x is not None:
+                cands.append((x, y))
             y += 1
     else:
         lim = x1 * x1 * (-N) * (x1 + 1)
         x = 0
         while 2 * D * x * x <= lim:
             rem = x * x - N
-            if rem % D == 0 and is_square(rem // D):
-                cands.append((x, isqrt(rem // D)))
+            if rem % D == 0:
+                y = isqrt_exact(rem // D)
+                if y is not None:
+                    cands.append((x, y))
             x += 1
     cands.sort(key=lambda t: (t[1], t[0]))
     ymax = max((y for _, y in cands), default=0)

@@ -2,8 +2,8 @@
 
 The three family enumerators ride the Pell machinery; box_search is an
 exhaustive independent oracle over a finite coefficient box; the genus-1
-locus hunt rewrites each shape as a generalized Pell problem over the
-finitely many admissible radicands; and the unit-equation enumerator
+locus hunt scans each shape straight over that box, O(coeff_bound) square
+tests per shape and admissible radicand; and the unit-equation enumerator
 cross-checks the invariant triples of rational-valued points.
 """
 
@@ -23,8 +23,8 @@ from .curve import (
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
-from .exactmath import factorize, sqrt_fraction, squarefree_decompose
-from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes, pell_iterate
+from .exactmath import factorize, isqrt_exact, sqrt_fraction, squarefree_decompose
+from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes
 
 # The family walks stop when the Pell y (x for the x families, z for yz)
 # passes this cap, so a family with no further point still ends.
@@ -90,19 +90,6 @@ def _sqrt_in_quad(r: Fraction, i: Fraction, eps: int) -> list[tuple[Fraction, Fr
             if uu * uu + eps * v * v == r and 2 * uu * v == i:
                 sols.append((uu, v))
     return sorted(set(sols))
-
-
-def _denominators(primes, cap: int) -> list[int]:
-    dens = {1}
-    for p in sorted(primes):
-        extra = set()
-        for base in dens:
-            value = base * p
-            while value <= cap:
-                extra.add(value)
-                value *= p
-        dens |= extra
-    return sorted(dens)
 
 
 def _squarefree_eps_range(limit: int) -> list[int]:
@@ -179,26 +166,45 @@ def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     return points
 
 
+def _box(cfg: SearchConfig):
+    """The box's denominators, the S-smooth integers up to coeff_bound in
+    ascending order, and its test: |numerator| <= coeff_bound and the
+    denominator among them."""
+    bound = cfg.coeff_bound
+    dens = {1}
+    for p in sorted(cfg.s_primes.primes):
+        extra = set()
+        for base in dens:
+            value = base * p
+            while value <= bound:
+                extra.add(value)
+                value *= p
+        dens |= extra
+    return sorted(dens), lambda q: abs(q.numerator) <= bound and q.denominator in dens
+
+
+def _collect(curve: CurveParams, candidates, source: str) -> list[QuadPoint]:
+    """The candidates, each checked on the curve, as canonical
+    representatives without repeats, sorted by _point_key."""
+    reps = set()
+    for point in candidates:
+        if not on_curve(curve, point):
+            raise PanicInvariant(f"{source} candidate {point} escaped the curve")
+        reps.add(canonical_representative(point))
+    return sorted(reps, key=_point_key)
+
+
 def box_search(cfg: SearchConfig) -> list[QuadPoint]:
     """Exhaustive scan of every point whose radicand and coefficients fit the
     configured box; complete within the box by construction."""
+    return _collect(cfg.curve, _box_candidates(cfg), "box")
+
+
+def _box_candidates(cfg: SearchConfig):
     curve = cfg.curve
     bound = cfg.coeff_bound
-    dens = _denominators(cfg.s_primes.primes, bound)
-    den_set = set(dens)
+    dens, in_box = _box(cfg)
     cands = sorted({Fraction(n, q) for q in dens for n in range(-bound, bound + 1)})
-
-    def in_box(q: Fraction) -> bool:
-        return abs(q.numerator) <= bound and q.denominator in den_set
-
-    found: dict[tuple, QuadPoint] = {}
-
-    def note(point: QuadPoint):
-        if not on_curve(curve, point):
-            raise PanicInvariant(f"box candidate {point} escaped the curve")
-        rep = canonical_representative(point)
-        found[(rep.eps,) + rep.flat()] = rep
-
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     for eps in _squarefree_eps_range(cfg.eps_bound):
         if eps == 1:
@@ -209,7 +215,7 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
                 zs = [u for u in _rational_sqrts(b * ux * ux + d) if in_box(u)]
                 for uy in ys:
                     for uz in zs:
-                        note(QuadPoint.rational(ux, uy, uz))
+                        yield QuadPoint.rational(ux, uy, uz)
             continue
         for ux in cands:
             for vx in cands:
@@ -229,16 +235,23 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
                 ]
                 for y_pair in ys:
                     for z_pair in zs:
-                        note(QuadPoint.make(eps, (ux, vx), y_pair, z_pair))
-    return sorted(found.values(), key=_point_key)
+                        yield QuadPoint.make(eps, (ux, vx), y_pair, z_pair)
+
+
+def _square_scan(m: int, k: int, bound: int):
+    """The pairs (s, r) with s = 0..bound, r >= 0 and r^2 = m*s^2 + k."""
+    roots = ((s, isqrt_exact(m * s * s + k)) for s in range(bound + 1))
+    return [(s, r) for s, r in roots if r is not None]
 
 
 def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:
     """Hunt the genus-1 locus shapes over every admissible radicand.
 
-    Each shape puts one coordinate in the base field and the other two in
-    sqrt(eps)*Q; the first curve equation becomes a generalized Pell problem
-    and the second a companion square condition.
+    Each shape puts one coordinate t in the base field and the other two in
+    sqrt(eps)*Q.  One curve equation ties t to one of them, u; scanning t or
+    u over 0..coeff_bound with an exact square test finds its solutions in
+    the box at O(coeff_bound) per shape and radicand.  The other equation is
+    a companion square condition on the third coordinate.
 
     The radicand candidates are supported on the primes of bc - ad together
     with S.  The shapes whose rational coordinate is y or z force eps to
@@ -246,51 +259,40 @@ def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:
     the primes of c*d, the standing admissibility hypothesis; box_search
     stays the unconditional oracle.
     """
+    candidates = _exceptional_candidates(cfg)
+    return _collect(cfg.curve, (p for p in candidates if p.eps != 1), "exceptional")
+
+
+def _exceptional_candidates(cfg: SearchConfig):
     curve = cfg.curve
     bound = cfg.coeff_bound
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    dens = set(_denominators(cfg.s_primes.primes, bound))
-
-    def in_box(q: Fraction) -> bool:
-        return abs(q.numerator) <= bound and q.denominator in dens
-
-    found: dict[tuple, QuadPoint] = {}
-
-    def note(point: QuadPoint):
-        if point.eps == 1:
-            return
-        if not on_curve(curve, point):
-            raise PanicInvariant(f"exceptional candidate {point} escaped the curve")
-        rep = canonical_representative(point)
-        found[(rep.eps,) + rep.flat()] = rep
-
+    _, in_box = _box(cfg)
     for eps in exceptional_eps_candidates(curve, cfg.s_primes):
-        # x rational: (eps*u)^2 - (a*eps) t^2 = c*eps with eps | eps*u,
-        # companion eps*v^2 = b t^2 + d.
-        for big_u, t in pell_iterate(pell_classes(PellProblem(a * eps, c * eps)), bound):
-            if big_u % eps:
-                continue
-            u = big_u // eps
-            if abs(u) > bound or abs(t) > bound:
+        # x rational: eps*u^2 = a*t^2 + c, scanned as r^2 = eps*(a*t^2 + c);
+        # eps is squarefree, so eps | r and u = r/eps.  Companion
+        # eps*v^2 = b*t^2 + d.
+        for t, r in _square_scan(a * eps, c * eps, bound):
+            u = r // eps
+            if abs(u) > bound:
                 continue
             for v in _rational_sqrts(Fraction(b * t * t + d, eps)):
                 if in_box(v):
-                    note(QuadPoint.make(eps, (t, 0), (0, u), (0, v)))
-        # y rational: t^2 - (a*eps) u^2 = c, companion eps*v^2 = b*eps*u^2 + d.
-        for t, u in pell_iterate(pell_classes(PellProblem(a * eps, c)), bound):
-            if abs(t) > bound:
+                    yield QuadPoint.make(eps, (t, 0), (0, u), (0, v))
+        # y rational: t^2 = a*eps*u^2 + c, companion eps*v^2 = b*eps*u^2 + d.
+        for u, t in _square_scan(a * eps, c, bound):
+            if t > bound:
                 continue
             for v in _rational_sqrts(Fraction(b * eps * u * u + d, eps)):
                 if in_box(v):
-                    note(QuadPoint.make(eps, (0, u), (t, 0), (0, v)))
-        # z rational: t^2 - (b*eps) u^2 = d, companion eps*v^2 = a*eps*u^2 + c.
-        for t, u in pell_iterate(pell_classes(PellProblem(b * eps, d)), bound):
-            if abs(t) > bound:
+                    yield QuadPoint.make(eps, (0, u), (t, 0), (0, v))
+        # z rational: t^2 = b*eps*u^2 + d, companion eps*v^2 = a*eps*u^2 + c.
+        for u, t in _square_scan(b * eps, d, bound):
+            if t > bound:
                 continue
             for v in _rational_sqrts(Fraction(a * eps * u * u + c, eps)):
                 if in_box(v):
-                    note(QuadPoint.make(eps, (0, u), (0, v), (t, 0)))
-    return sorted(found.values(), key=_point_key)
+                    yield QuadPoint.make(eps, (0, u), (0, v), (t, 0))
 
 
 def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:

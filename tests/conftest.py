@@ -6,7 +6,9 @@ and derives curve constants from it, which covers the sporadic class
 cheaply on many distinct curves.
 """
 
+import signal
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -133,3 +135,34 @@ def count_calls(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
 
     return install
+
+
+class DeadlineExceeded(BaseException):
+    """Raised into a test body that outlives its deadline.
+
+    A BaseException, so that no `except Exception` in the code under test
+    can swallow it.
+    """
+
+
+@pytest.fixture
+def deadline():
+    """`with deadline(seconds):` fails the test once the block has run for
+    `seconds` of wall time, so a hang fails in seconds instead of stalling
+    the suite.  SIGALRM based: main thread only, and the alarm is cleared
+    when the block ends."""
+
+    @contextmanager
+    def arm(seconds):
+        def expire(signum, frame):
+            raise DeadlineExceeded(f"still running after the {seconds} s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return arm

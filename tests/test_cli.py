@@ -217,6 +217,16 @@ class TestVerifyCommand:
         assert summary["points"] == 0
         assert summary["failures"] == 0
 
+    def test_large_pell_unit_in_an_exceptional_shape_does_not_stall(self, capsys, deadline):
+        # bc - ad = 29 puts eps = 29 among the radicands.  The z-rational
+        # shape is then t^2 - 261 u^2 = 2, whose Pell unit has y = 11891880;
+        # solving it as a Pell problem meant a class window of about 10^10.
+        with deadline(10):
+            report = run_json(
+                capsys, "verify", "--curve=-1,9,3,2", "--count", "3", "--no-timing"
+            )
+        assert report["identity_summary"]["failures"] == 0
+
     def test_injected_failure_exits_3(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -409,6 +419,14 @@ class TestWorkPerPoint:
         records = len(report["results"])
         assert records == 60
         assert counts == {"pell_classes": 3, "make": records}
+
+    def test_search_solves_no_pell_problem(self, capsys, count_calls):
+        counts = {"pell_classes": 0}
+        count_calls(counts, "doublepell.pell", "pell_classes")
+        run_json(
+            capsys, "search", "--curve", "2,3,1,1", "--coeff-bound", "3", "--no-timing"
+        )
+        assert counts == {"pell_classes": 0}
 
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two

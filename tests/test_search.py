@@ -192,9 +192,72 @@ def test_box_matches_naive_oracle_small():
     assert got2 == naive_box_oracle(other, 10, 3)
 
 
+def naive_exceptional_oracle(curve, s_primes, bound):
+    """Triple-loop oracle for the three genus-1 shapes, written independently
+    of the search module: integral t, u in [-bound, bound] and v among the
+    box coefficients, with both curve equations tested directly.  Maps each
+    canonical point found to the shape, "x", "y" or "z", whose coordinate is
+    rational."""
+    from doublepell import canonical_representative, exceptional_eps_candidates
+
+    a, b, c, d = curve.a, curve.b, curve.c, curve.d
+    dens = []
+    for q in range(1, bound + 1):
+        rest = q
+        for p in s_primes.primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            dens.append(q)
+    span = range(-bound, bound + 1)
+    vs = {Fraction(n, q) for n in span for q in dens}
+    hits = {}
+    for eps in exceptional_eps_candidates(curve, s_primes):
+        for t in span:
+            for u in span:
+                for v in vs:
+                    shapes = []
+                    if eps * u * u == a * t * t + c and eps * v * v == b * t * t + d:
+                        shapes.append(("x", ((t, 0), (0, u), (0, v))))
+                    if t * t == a * eps * u * u + c and eps * v * v == b * eps * u * u + d:
+                        shapes.append(("y", ((0, u), (t, 0), (0, v))))
+                    if t * t == b * eps * u * u + d and eps * v * v == a * eps * u * u + c:
+                        shapes.append(("z", ((0, u), (0, v), (t, 0))))
+                    for shape, (x, y, z) in shapes:
+                        point = QuadPoint.make(eps, x, y, z)
+                        assert on_curve(curve, point)
+                        if point.eps != 1:
+                            hits[canonical_representative(point)] = shape
+    return hits
+
+
 class TestSearchExceptional:
     def test_vacuous_on_reference_curve(self, curve):
         assert search_exceptional(SearchConfig(curve, coeff_bound=1000)) == []
+
+    def test_matches_naive_oracle(self):
+        # Over this grid each shape has points, and no point fits two shapes
+        # (that would need c = 0, d = 0 or ad = bc), so dropping any one
+        # shape from the search breaks the equality.
+        curves = [(2, 3, 1, 1), (2, 3, 3, 17), (2, 3, 2, 7), (1, 2, -3, 3),
+                  (1, 1, -3, 1), (-2, -3, -3, -2), (-4, -1, 1, -2)]
+        shapes = set()
+        for params in curves:
+            curve = validate_curve(*params)
+            for s_primes in (SPrimeSet.empty(), SPrimeSet.of(2), SPrimeSet.of(2, 3, 7)):
+                cfg = SearchConfig(curve, s_primes, coeff_bound=4)
+                expected = naive_exceptional_oracle(curve, s_primes, 4)
+                assert set(search_exceptional(cfg)) == set(expected), (params, s_primes)
+                shapes.update(expected.values())
+        assert shapes == set("xyz")
+
+    def test_large_pell_unit_does_not_stall(self, deadline):
+        # bc - ad = 29 makes eps = 29 a radicand, and the z-rational shape
+        # t^2 - 261 u^2 = 2 has a Pell unit with y = 11891880: solved as a
+        # Pell problem, its class window was about 10^10.
+        cfg = SearchConfig(validate_curve(-1, 9, 3, 2), coeff_bound=2, eps_bound=6)
+        with deadline(5):
+            assert search_exceptional(cfg) == []
 
     def test_crafted_curve_has_witness(self):
         other = validate_curve(2, 3, 3, 17)
