@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .curve import CurveParams, QuadPoint, SPrimeSet, SymPoint, sym_invariants
 from .errors import DomainError, PanicInvariant
-from .exactmath import MultiQuad, factorize, isqrt_exact
+from .exactmath import factorize, isqrt_exact
 
 
 class Verdict(str, Enum):
@@ -62,15 +62,7 @@ class Classification:
 
 def detect_degenerate(sym: SymPoint) -> frozenset[str]:
     """Which of alpha, beta, gamma equal 1 exactly; several may hold."""
-    one = MultiQuad.one()
-    flags = set()
-    if sym.alpha == one:
-        flags.add("alpha")
-    if sym.beta == one:
-        flags.add("beta")
-    if sym.gamma == one:
-        flags.add("gamma")
-    return frozenset(flags)
+    return frozenset(flag for flag in _AXIS_FLAG.values() if getattr(sym, flag) == 1)
 
 
 def loci_from_invariants(curve: CurveParams, sym: SymPoint) -> frozenset[str]:

@@ -45,6 +45,8 @@ _IDENTITY_NAMES = (
     "ff_square_ratio",
 )
 
+_INVARIANT_NAMES = ("ff", "gg", "hh", "alpha", "beta", "gamma")
+
 _EXPECTED_FLAG = {
     "family_xy": ("gamma", Verdict.FAMILY_XY),
     "family_xz": ("beta", Verdict.FAMILY_XZ),
@@ -111,14 +113,7 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = Non
             "multi_degenerate": cls.multi_degenerate,
         },
         "family_image": None,
-        "invariants": {
-            "ff": _mq_pairs(sym.ff),
-            "gg": _mq_pairs(sym.gg),
-            "hh": _mq_pairs(sym.hh),
-            "alpha": _mq_pairs(sym.alpha),
-            "beta": _mq_pairs(sym.beta),
-            "gamma": _mq_pairs(sym.gamma),
-        },
+        "invariants": {name: _mq_pairs(getattr(sym, name)) for name in _INVARIANT_NAMES},
     }
     if cls.verdict in FAMILY_VERDICTS:
         image = family_image(curve, point, cls.verdict)
@@ -159,7 +154,7 @@ def _result_rows(results: list[dict]):
     yield [
         "source", "eps", "ux", "vx", "uy", "vy", "uz", "vz",
         "verdict", "degenerate_flags", "sign_pattern", "multi_degenerate",
-        "family_image", "ff", "gg", "hh", "alpha", "beta", "gamma",
+        "family_image", *_INVARIANT_NAMES,
     ]
     for rec in results:
         cls = rec["classification"]
@@ -175,12 +170,7 @@ def _result_rows(results: list[dict]):
             cls["sign_pattern"] or "",
             cls["multi_degenerate"],
             ";".join(rec["family_image"]) if rec["family_image"] else "",
-            _flatten_mq(inv["ff"]),
-            _flatten_mq(inv["gg"]),
-            _flatten_mq(inv["hh"]),
-            _flatten_mq(inv["alpha"]),
-            _flatten_mq(inv["beta"]),
-            _flatten_mq(inv["gamma"]),
+            *(_flatten_mq(inv[name]) for name in _INVARIANT_NAMES),
         ]
 
 

@@ -215,9 +215,15 @@ class SymPoint:
 
 
 def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
-    """Evaluate ff, gg, hh by their symmetric bilinear expansions and derive
-    alpha = cd/(ff*gg), beta = c(bc-ad)/(ff*hh), gamma = d(ad-bc)/(gg*hh).
+    """Evaluate ff, gg, hh by their symmetric bilinear expansions, and the
+    unit-sum coordinates in closed form, with no field inverse.
 
+    Flipping the root in each expansion gives ff~, gg~, hh~: the products of
+    y - sqrt(a)x, z - sqrt(b)x and sqrt(b)y + sqrt(a)z at P and P'.  Under the
+    fixed embedding, for every sign and square class of a and b,
+        ff*ff~ = c^2,  gg*gg~ = d^2,  hh*hh~ = (bc-ad)^2,
+    so alpha = cd/(ff*gg) = ff~*gg~/(cd), beta = c(bc-ad)/(ff*hh) =
+    ff~*hh~/(c(bc-ad)) and gamma = d(ad-bc)/(gg*hh) = gg~*hh~/(d(ad-bc)).
     alpha + beta + gamma = 1 is asserted before returning.
     """
     if not on_curve(curve, point):
@@ -232,14 +238,17 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     def cross(p1: Coord, p2: Coord) -> Fraction:
         return 2 * (p1[0] * p2[0] - e * p1[1] * p2[1])
 
+    def with_flip(rational: Fraction, radical: MultiQuad):
+        return rational + radical, rational - radical
+
     sa, sb, sab = curve.roots
     xx, yy, zz = norm(point.x), norm(point.y), norm(point.z)
-    ff = MultiQuad.from_rational(yy + a * xx) + sa * cross(point.x, point.y)
-    gg = MultiQuad.from_rational(zz + b * xx) + sb * cross(point.x, point.z)
-    hh = MultiQuad.from_rational(b * yy + a * zz) - sab * cross(point.y, point.z)
-    alpha = (c * d) * (ff * gg).inverse()
-    beta = (c * (b * c - a * d)) * (ff * hh).inverse()
-    gamma = (d * (a * d - b * c)) * (gg * hh).inverse()
+    ff, ff_flip = with_flip(yy + a * xx, sa * cross(point.x, point.y))
+    gg, gg_flip = with_flip(zz + b * xx, sb * cross(point.x, point.z))
+    hh, hh_flip = with_flip(b * yy + a * zz, -sab * cross(point.y, point.z))
+    alpha = ff_flip * gg_flip * Fraction(1, c * d)
+    beta = ff_flip * hh_flip * Fraction(1, c * curve.cross)
+    gamma = gg_flip * hh_flip * Fraction(-1, d * curve.cross)
     if alpha + beta + gamma != MultiQuad.one():
         raise PanicInvariant(f"alpha+beta+gamma != 1 at {point}")
     return SymPoint(point, ff, gg, hh, alpha, beta, gamma)
@@ -375,12 +384,26 @@ def pair_key(point: QuadPoint):
     return (point.eps,) + tuple(sorted((k1, k2)))
 
 
+def _strip_primes(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
+    """The exponents in the nonzero n of the `primes` that divide it, and
+    the cofactor of |n| left when they are divided out.  No factoring."""
+    if n == 0:
+        raise DomainError("0 has no cofactor")
+    n, exponents = abs(n), {}
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    return exponents, n
+
+
 def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
     """True when the denominator of q is supported on `primes`."""
-    return q.denominator == 1 or set(factorize(q.denominator)) <= set(primes)
+    return _strip_primes(q.denominator, primes)[1] == 1
 
 
 def is_s_integral(point: QuadPoint, primes: Iterable[int]) -> bool:
-    """True when every coordinate denominator is supported on `primes`."""
-    allowed = set(primes)
+    """True when every coordinate denominator is supported on the primes
+    `primes`; DomainError when one of them is not prime."""
+    allowed = SPrimeSet(frozenset(primes)).primes
     return all(_is_s_fraction(q, allowed) for q in point.flat())

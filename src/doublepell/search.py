@@ -19,11 +19,12 @@ from .curve import (
     QuadPoint,
     SPrimeSet,
     _is_s_fraction,
+    _strip_primes,
     canonical_representative,
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
-from .exactmath import factorize, isqrt_exact, sqrt_fraction, squarefree_decompose
+from .exactmath import isqrt_exact, sqrt_fraction, squarefree_decompose
 from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes
 
 # The family walks stop when the Pell y (x for the x families, z for yz)
@@ -207,18 +208,11 @@ def _box_candidates(cfg: SearchConfig):
     cands = sorted({Fraction(n, q) for q in dens for n in range(-bound, bound + 1)})
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     for eps in _squarefree_eps_range(cfg.eps_bound):
-        if eps == 1:
-            for ux in cands:
-                ys = [u for u in _rational_sqrts(a * ux * ux + c) if in_box(u)]
-                if not ys:
-                    continue
-                zs = [u for u in _rational_sqrts(b * ux * ux + d) if in_box(u)]
-                for uy in ys:
-                    for uz in zs:
-                        yield QuadPoint.rational(ux, uy, uz)
-            continue
+        # Rational points come from eps = 1 with vx = 0.  There
+        # _sqrt_in_quad(r, 0, 1) gives both (u, 0) and (0, u); make() folds
+        # them into one rational point, and _collect drops the repeat.
         for ux in cands:
-            for vx in cands:
+            for vx in cands if eps != 1 else (Fraction(0),):
                 rx = ux * ux + eps * vx * vx
                 ix = 2 * ux * vx
                 ys = [
@@ -351,16 +345,13 @@ class SUnitCheckReport:
 
 
 def _s_unit_exponents(q: Fraction, primes) -> dict[int, int] | None:
-    """Exponent vector of q over `primes`, or None if q is not an S-unit."""
-    out: dict[int, int] = {}
-    for magnitude, sign in ((abs(q.numerator), 1), (q.denominator, -1)):
-        if magnitude == 1:
-            continue
-        for p, e in factorize(magnitude).items():
-            if p not in primes:
-                return None
-            out[p] = out.get(p, 0) + sign * e
-    return out
+    """Exponent vector of the nonzero q over `primes`, or None if q is not an
+    S-unit."""
+    up, num_rest = _strip_primes(q.numerator, primes)
+    down, den_rest = _strip_primes(q.denominator, primes)
+    if num_rest != 1 or den_rest != 1:
+        return None
+    return {**up, **{p: -e for p, e in down.items()}}
 
 
 def cross_check_sunit(

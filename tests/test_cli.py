@@ -428,6 +428,30 @@ class TestWorkPerPoint:
         )
         assert counts == {"pell_classes": 0}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("families", "--curve", "2,3,1,1", "--count", "20"),
+            ("search", "--curve", "2,3,1,1", "--coeff-bound", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_field_inverse_per_point(self, capsys, monkeypatch, argv):
+        # alpha, beta, gamma come in closed form from the conjugate
+        # products; the general inverse is left to verify_identities.
+        multi_quad = sys.modules["doublepell.exactmath"].MultiQuad
+        original_inverse = multi_quad.inverse
+        calls = []
+
+        def counted_inverse(self):
+            calls.append(self)
+            return original_inverse(self)
+
+        monkeypatch.setattr(multi_quad, "inverse", counted_inverse)
+        report = run_json(capsys, *argv, "--no-timing")
+        assert report["results"]
+        assert len(calls) == 0
+
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two
         # square roots add two more.  Nothing per point factors again.

@@ -135,15 +135,19 @@ class TestSymInvariants:
             assert sym.hh == h * h2
 
     def test_inverse_formulas_cross_validate(self, corpus):
-        # 1/alpha = ff*gg/(cd) and friends, checked against the exact inverse.
-        for curve, point in corpus[:80]:
+        # The closed forms in sym_invariants against the defining quotients
+        # alpha = cd/(ff*gg) and friends, through the general field inverse.
+        for curve, point in corpus:
             sym = sym_invariants(curve, point)
             cd = curve.c * curve.d
             assert sym.alpha * (sym.ff * sym.gg * Fraction(1, cd)) == 1
+            assert sym.alpha == cd * (sym.ff * sym.gg).inverse()
             cbcad = curve.c * curve.cross
             assert sym.beta * (sym.ff * sym.hh * Fraction(1, cbcad)) == 1
+            assert sym.beta == cbcad * (sym.ff * sym.hh).inverse()
             dadbc = curve.d * -curve.cross
             assert sym.gamma * (sym.gg * sym.hh * Fraction(1, dadbc)) == 1
+            assert sym.gamma == dadbc * (sym.gg * sym.hh).inverse()
 
 
 class TestVerifyIdentities:
@@ -244,3 +248,19 @@ def test_is_s_integral():
     assert not is_s_integral(p, set())
     assert is_s_integral(p, {2})
     assert is_s_integral(QuadPoint.rational(1, 2, 3), set())
+
+
+# The product of the primes 10^17 + 3 and 10^18 + 3: 36 digits that trial
+# division and Floyd's rho do not split in seconds.
+HARD_SEMIPRIME = 100000000000000003 * 1000000000000000003
+
+
+def test_is_s_integral_divides_out_s_instead_of_factoring(deadline):
+    with deadline(5):
+        assert not is_s_integral(QuadPoint.rational(Fraction(1, HARD_SEMIPRIME), 0, 0), {2, 3})
+
+
+def test_is_s_integral_rejects_a_nonprime():
+    # Dividing out 1 would never end; SPrimeSet refuses it first.
+    with pytest.raises(DomainError):
+        is_s_integral(QuadPoint.rational(1, 0, 0), {1})

@@ -25,6 +25,7 @@ from doublepell.search import (
     FAILED_MISSING,
     PASSED,
     SKIPPED_IRRATIONAL,
+    _s_unit_exponents,
 )
 
 
@@ -392,6 +393,17 @@ class TestCrossCheckSUnit:
         ]
         report = cross_check_sunit(SearchConfig(curve, SPrimeSet.of(2)), points, 3)
         assert report.counts() == {SKIPPED_IRRATIONAL: 2}
+
+    def test_exponents_divide_out_s_instead_of_factoring(self, deadline):
+        # The numerator is the product of the primes 10^17 + 3 and
+        # 10^18 + 3, which trial division and Floyd's rho do not split in
+        # seconds; dividing out S leaves it whole at once.
+        semiprime = 100000000000000003 * 1000000000000000003
+        with deadline(5):
+            assert _s_unit_exponents(Fraction(semiprime, 2), {2}) is None
+        assert _s_unit_exponents(Fraction(-96, 5), {2, 3, 5}) == {2: 5, 3: 1, 5: -1}
+        assert _s_unit_exponents(Fraction(7, 4), {2, 3}) is None
+        assert _s_unit_exponents(Fraction(1), {2}) == {}
 
     def test_statuses_are_exhaustive(self):
         square_curve = validate_curve(4, 9, -3, 32)
