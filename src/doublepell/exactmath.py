@@ -121,19 +121,6 @@ def isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def sqrt_fraction(q: Fraction):
-    """Exact rational square root of q >= 0, or None if q is not a square."""
-    if q < 0:
-        return None
-    rn = isqrt_exact(q.numerator)
-    if rn is None:
-        return None
-    rd = isqrt_exact(q.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 def _mul_radicands(m: int, n: int) -> tuple[int, int]:
     """Reduce sqrt(m)*sqrt(n) to mult*sqrt(rad) for squarefree m, n.
 

@@ -5,6 +5,13 @@ exhaustive independent oracle over a finite coefficient box; the genus-1
 locus hunt scans each shape straight over that box, O(coeff_bound) square
 tests per shape and admissible radicand; and the unit-equation enumerator
 cross-checks the invariant triples of rational-valued points.
+
+Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
+integer up to coeff_bound, so both searches work over the common
+denominator L = lcm(q): the coordinate is the integer n*(L/q), and box
+membership is one lookup in the set of those integers.  The box scan runs
+in int from the square tests to the box lookups; a Fraction is built only
+for a candidate that passed them, on its way to QuadPoint.make.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .classify import classify, exceptional_eps_candidates
 from .curve import (
@@ -24,7 +32,7 @@ from .curve import (
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
-from .exactmath import isqrt_exact, sqrt_fraction, squarefree_decompose
+from .exactmath import isqrt_exact, squarefree_decompose
 from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes
 
 # The family walks stop when the Pell y (x for the x families, z for yz)
@@ -52,45 +60,6 @@ class SUnitSolution:
 
     triple: tuple[Fraction, Fraction, Fraction]
     degenerate: bool
-
-
-def _rational_sqrts(q: Fraction) -> list[Fraction]:
-    if q < 0:
-        return []
-    root = sqrt_fraction(q)
-    if root is None:
-        return []
-    return [root] if root == 0 else [root, -root]
-
-
-def _sqrt_in_quad(r: Fraction, i: Fraction, eps: int) -> list[tuple[Fraction, Fraction]]:
-    """All (u, v) with (u + v*sqrt(eps))^2 = r + i*sqrt(eps)."""
-    zero = Fraction(0)
-    if i == 0:
-        if r == 0:
-            return [(zero, zero)]
-        sols = [(u, zero) for u in _rational_sqrts(r)]
-        sols.extend((zero, v) for v in _rational_sqrts(r / eps) if v != 0)
-        return sols
-    disc = r * r - eps * i * i
-    if disc < 0:
-        return []
-    s = sqrt_fraction(disc)
-    if s is None:
-        return []
-    sols = []
-    for sgn in (1, -1):
-        u2 = (r + sgn * s) / 2
-        if u2 <= 0:
-            continue
-        u = sqrt_fraction(u2)
-        if u is None:
-            continue
-        for uu in (u, -u):
-            v = i / (2 * uu)
-            if uu * uu + eps * v * v == r and 2 * uu * v == i:
-                sols.append((uu, v))
-    return sorted(set(sols))
 
 
 def _squarefree_eps_range(limit: int) -> list[int]:
@@ -167,10 +136,11 @@ def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     return points
 
 
-def _box(cfg: SearchConfig):
-    """The box's denominators, the S-smooth integers up to coeff_bound in
-    ascending order, and its test: |numerator| <= coeff_bound and the
-    denominator among them."""
+def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:
+    """The box over one common denominator: L, the lcm of the S-smooth
+    integers q up to coeff_bound, and the box coordinates n/q with |n| <=
+    coeff_bound scaled by L, as the integers n*(L/q).  A rational r lies in
+    the box iff r*L is an integer in the set."""
     bound = cfg.coeff_bound
     dens = {1}
     for p in sorted(cfg.s_primes.primes):
@@ -181,7 +151,8 @@ def _box(cfg: SearchConfig):
                 extra.add(value)
                 value *= p
         dens |= extra
-    return sorted(dens), lambda q: abs(q.numerator) <= bound and q.denominator in dens
+    L = lcm(*dens)
+    return L, frozenset(n * (L // q) for q in dens for n in range(-bound, bound + 1))
 
 
 def _collect(curve: CurveParams, candidates, source: str) -> list[QuadPoint]:
@@ -197,39 +168,78 @@ def _collect(curve: CurveParams, candidates, source: str) -> list[QuadPoint]:
 
 def box_search(cfg: SearchConfig) -> list[QuadPoint]:
     """Exhaustive scan of every point whose radicand and coefficients fit the
-    configured box; complete within the box by construction."""
+    configured box; complete within the box by construction.
+
+    With x = (X + V*sqrt(eps))/L and y = (U + W*sqrt(eps))/L, the equation
+    y^2 = a*x^2 + c becomes (U + W*sqrt(eps))^2 = R + I*sqrt(eps) in
+    integers, R = a*(X^2 + eps*V^2) + c*L^2 and I = 2*a*X*V; z likewise with
+    b and d.  The scan takes X, V >= 0 and one root of each +-(U, W) pair for
+    y and for z.  Both cuts are exact, because the output keeps one
+    canonical representative per orbit under independent signs of x, y and
+    z and conjugation: (-X, -V) is x negated, (X, -V) with y and z
+    conjugated is the conjugate point, and -(U, W) is y or z negated.
+    """
     return _collect(cfg.curve, _box_candidates(cfg), "box")
+
+
+def _box_sqrt(n: int, eps: int, box: frozenset[int]) -> int | None:
+    """The w >= 0 in the scaled box with eps*w^2 = n, or None."""
+    w = isqrt_exact(n // eps) if n % eps == 0 else None
+    return w if w in box else None
+
+
+def _box_roots(r: int, i: int, eps: int, box: frozenset[int]) -> list[tuple[int, int]]:
+    """The (U, W) in the scaled box with (U + W*sqrt(eps))^2 = r + i*sqrt(eps),
+    one of each +-(U, W) pair.
+
+    U^2 and eps*W^2 sum to r with product eps*i^2/4, so for i != 0 they are
+    (r +- s)/2 with s^2 the norm r^2 - eps*i^2, and W = i/(2U).
+    """
+    if i == 0:
+        # U*W = 0: U^2 = r, or eps*W^2 = r.  Over eps = 1 both (u, 0) and
+        # (0, u) come back; make() folds them into one rational point, and
+        # _collect drops the repeat.
+        roots = {(_box_sqrt(r, 1, box), 0), (0, _box_sqrt(r, eps, box))}
+        return [root for root in roots if None not in root]
+    s = isqrt_exact(r * r - eps * i * i)
+    if s is None:
+        return []
+    roots = []
+    for twice_u2 in (r + s, r - s):
+        if twice_u2 <= 0 or twice_u2 % 2:
+            continue
+        u = isqrt_exact(twice_u2 // 2)
+        if u is None or u not in box:
+            continue
+        w, rest = divmod(i, 2 * u)
+        if rest == 0 and w in box:
+            roots.append((u, w))
+    return roots
 
 
 def _box_candidates(cfg: SearchConfig):
     curve = cfg.curve
-    bound = cfg.coeff_bound
-    dens, in_box = _box(cfg)
-    cands = sorted({Fraction(n, q) for q in dens for n in range(-bound, bound + 1)})
-    a, b, c, d = curve.a, curve.b, curve.c, curve.d
+    L, box = _box(cfg)
+    scan = sorted(n for n in box if n >= 0)
+    a, b = curve.a, curve.b
+    cL2, dL2 = curve.c * L * L, curve.d * L * L
+
+    def scaled(pair):
+        return Fraction(pair[0], L), Fraction(pair[1], L)
+
     for eps in _squarefree_eps_range(cfg.eps_bound):
-        # Rational points come from eps = 1 with vx = 0.  There
-        # _sqrt_in_quad(r, 0, 1) gives both (u, 0) and (0, u); make() folds
-        # them into one rational point, and _collect drops the repeat.
-        for ux in cands:
-            for vx in cands if eps != 1 else (Fraction(0),):
-                rx = ux * ux + eps * vx * vx
-                ix = 2 * ux * vx
-                ys = [
-                    (uy, vy)
-                    for uy, vy in _sqrt_in_quad(a * rx + c, a * ix, eps)
-                    if in_box(uy) and in_box(vy)
-                ]
+        # Rational points come from eps = 1 with V = 0.
+        for X in scan:
+            for V in scan if eps != 1 else (0,):
+                rx = X * X + eps * V * V
+                ix = 2 * X * V
+                ys = _box_roots(a * rx + cL2, a * ix, eps, box)
                 if not ys:
                     continue
-                zs = [
-                    (uz, vz)
-                    for uz, vz in _sqrt_in_quad(b * rx + d, b * ix, eps)
-                    if in_box(uz) and in_box(vz)
-                ]
+                zs = _box_roots(b * rx + dL2, b * ix, eps, box)
                 for y_pair in ys:
                     for z_pair in zs:
-                        yield QuadPoint.make(eps, (ux, vx), y_pair, z_pair)
+                        yield QuadPoint.make(eps, scaled((X, V)), scaled(y_pair), scaled(z_pair))
 
 
 def _square_scan(m: int, k: int, bound: int):
@@ -261,32 +271,29 @@ def _exceptional_candidates(cfg: SearchConfig):
     curve = cfg.curve
     bound = cfg.coeff_bound
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    _, in_box = _box(cfg)
+    L, box = _box(cfg)
+
+    def companion(eps: int, m: int):
+        """v >= 0 in the box with eps*v^2 = m, or None."""
+        root = _box_sqrt(m * L * L, eps, box)
+        return None if root is None else Fraction(root, L)
+
     for eps in exceptional_eps_candidates(curve, cfg.s_primes):
         # x rational: eps*u^2 = a*t^2 + c, scanned as r^2 = eps*(a*t^2 + c);
         # eps is squarefree, so eps | r and u = r/eps.  Companion
         # eps*v^2 = b*t^2 + d.
         for t, r in _square_scan(a * eps, c * eps, bound):
             u = r // eps
-            if abs(u) > bound:
-                continue
-            for v in _rational_sqrts(Fraction(b * t * t + d, eps)):
-                if in_box(v):
-                    yield QuadPoint.make(eps, (t, 0), (0, u), (0, v))
+            if abs(u) <= bound and (v := companion(eps, b * t * t + d)) is not None:
+                yield QuadPoint.make(eps, (t, 0), (0, u), (0, v))
         # y rational: t^2 = a*eps*u^2 + c, companion eps*v^2 = b*eps*u^2 + d.
         for u, t in _square_scan(a * eps, c, bound):
-            if t > bound:
-                continue
-            for v in _rational_sqrts(Fraction(b * eps * u * u + d, eps)):
-                if in_box(v):
-                    yield QuadPoint.make(eps, (0, u), (t, 0), (0, v))
+            if t <= bound and (v := companion(eps, b * eps * u * u + d)) is not None:
+                yield QuadPoint.make(eps, (0, u), (t, 0), (0, v))
         # z rational: t^2 = b*eps*u^2 + d, companion eps*v^2 = a*eps*u^2 + c.
         for u, t in _square_scan(b * eps, d, bound):
-            if t > bound:
-                continue
-            for v in _rational_sqrts(Fraction(a * eps * u * u + c, eps)):
-                if in_box(v):
-                    yield QuadPoint.make(eps, (0, u), (0, v), (t, 0))
+            if t <= bound and (v := companion(eps, a * eps * u * u + c)) is not None:
+                yield QuadPoint.make(eps, (0, u), (0, v), (t, 0))
 
 
 def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:

@@ -452,6 +452,27 @@ class TestWorkPerPoint:
         assert report["results"]
         assert len(calls) == 0
 
+    def test_box_scan_builds_fractions_only_for_candidates(self, capsys, monkeypatch):
+        # The box is scanned in integers over one common denominator; a
+        # Fraction is built only for a candidate that passed both root tests,
+        # and for the records printed.  A Fraction scan makes about 10^6.
+        from fractions import Fraction
+
+        original_new = Fraction.__new__
+        calls = []
+
+        def counted_new(cls, *args, **kwargs):
+            calls.append(None)
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        report = run_json(
+            capsys, "search", "--curve", "2,3,1,1", "--primes", "2,3",
+            "--coeff-bound", "8", "--no-timing",
+        )
+        assert report["results"]
+        assert len(calls) <= 10_000
+
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two
         # square roots add two more.  Nothing per point factors again.

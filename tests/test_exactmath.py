@@ -14,7 +14,6 @@ from doublepell import (
     factorize,
     squarefree_decompose,
 )
-from doublepell.exactmath import sqrt_fraction
 
 
 def trial_division_squarefree(n):
@@ -250,13 +249,6 @@ def test_rational_value_guards():
     with pytest.raises(DomainError):
         MultiQuad({2: 1}).rational_value()
     assert MultiQuad.from_rational(Fraction(3, 4)).rational_value() == Fraction(3, 4)
-
-
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_fraction(Fraction(2)) is None
-    assert sqrt_fraction(Fraction(-1)) is None
-    assert sqrt_fraction(Fraction(0)) == 0
 
 
 _rads = st.sampled_from([-6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 15])

@@ -3,8 +3,9 @@
 Each digest is the SHA-256 of the command's standard output with
 --no-timing, recorded before the commands were folded into one `main` and
 one emitter; the families --count 24 digest, before alpha, beta and gamma
-were computed in closed form.  A refactor that changes any byte of a report
-fails here.
+were computed in closed form; the search --primes 2,3 digest, before the box
+was scanned in integers over one common denominator.  A refactor that
+changes any byte of a report fails here.
 """
 
 import hashlib
@@ -43,6 +44,9 @@ GOLDEN = [
     # radicands that --count 3 never reaches.
     ("families --curve 2,3,1,1 --count 24", "json",
      "b44660d04de617b20139f7bdd29e0958e3ed1da76494b3fce387a5920a8db17a"),
+    # A box with S-denominators 1, 2, 3, 4, 6 and 8, over their lcm 24.
+    ("search --curve 2,3,1,1 --primes 2,3 --coeff-bound 8", "json",
+     "4e66b171ead724832d41a1218c6a604f2db80da167facdee679d36a967dd2cab"),
 ]
 
 PELL_CSV_FILE = "8f182ce41ebd00cb72f87151bd5487fb2c356ccbffd999031dbd670182068e21"

@@ -144,39 +144,58 @@ class TestBoxSearch:
                     assert q.denominator in (1, 2, 4)
 
 
-def naive_box_oracle(curve, eps_bound, coeff_bound):
-    """Triple-loop oracle, written independently of the search module."""
+    def test_wide_box_scan_finishes(self, deadline):
+        # eps = -1 alone scans 1001^2 pairs (X, V) with X, V >= 0: a Fraction
+        # scan of the 2001^2 signed pairs was still running after 20 s.
+        # y^2 = 2x^2 + 3 has no point over Q (the Hilbert symbol (2, 3)_3 is
+        # -1), and none over Q(i) in this box.
+        cfg = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=1000, eps_bound=1)
+        with deadline(10):
+            assert box_search(cfg) == []
+
+
+def s_smooth_up_to(bound, s_primes):
+    """The integers 1..bound with no prime factor outside s_primes, found by
+    trial division."""
+    dens = []
+    for q in range(1, bound + 1):
+        rest = q
+        for p in s_primes.primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            dens.append(q)
+    return dens
+
+
+def naive_box_oracle(curve, eps_bound, coeff_bound, s_primes=SPrimeSet.empty()):
+    """Oracle written independently of the search module: every coordinate
+    u + v*sqrt(eps) with u, v among the Fractions n/q, |n| <= coeff_bound and
+    q <= coeff_bound supported on s_primes.  The squares of all such y (or z)
+    are tabulated once per eps, and each x looks its two right-hand sides up
+    in the table."""
     from doublepell import canonical_representative
     from doublepell.exactmath import squarefree_decompose
 
-    hits = set()
     bound = coeff_bound
+    dens = s_smooth_up_to(bound, s_primes)
+    span = sorted({Fraction(n, q) for n in range(-bound, bound + 1) for q in dens})
     eps_values = []
     for e in range(-eps_bound, eps_bound + 1):
         if e != 0 and squarefree_decompose(e)[1] == e:
             eps_values.append(e)
-    span = range(-bound, bound + 1)
+    hits = set()
     for eps in eps_values:
+        radical = span if eps != 1 else [Fraction(0)]
+        squares = {}
+        for u in span:
+            for v in radical:
+                squares.setdefault((u * u + eps * v * v, 2 * u * v), []).append((u, v))
         for ux in span:
-            for vx in span if eps != 1 else [0]:
-                ry = curve.a * (ux * ux + eps * vx * vx) + curve.c
-                iy = 2 * curve.a * ux * vx
-                ys = [
-                    (uy, vy)
-                    for uy in span
-                    for vy in (span if eps != 1 else [0])
-                    if uy * uy + eps * vy * vy == ry and 2 * uy * vy == iy
-                ]
-                if not ys:
-                    continue
-                rz = curve.b * (ux * ux + eps * vx * vx) + curve.d
-                iz = 2 * curve.b * ux * vx
-                zs = [
-                    (uz, vz)
-                    for uz in span
-                    for vz in (span if eps != 1 else [0])
-                    if uz * uz + eps * vz * vz == rz and 2 * uz * vz == iz
-                ]
+            for vx in radical:
+                rx, ix = ux * ux + eps * vx * vx, 2 * ux * vx
+                ys = squares.get((curve.a * rx + curve.c, curve.a * ix), [])
+                zs = squares.get((curve.b * rx + curve.d, curve.b * ix), [])
                 for y_pair in ys:
                     for z_pair in zs:
                         point = QuadPoint.make(eps, (ux, vx), y_pair, z_pair)
@@ -193,6 +212,33 @@ def test_box_matches_naive_oracle_small():
     assert got2 == naive_box_oracle(other, 10, 3)
 
 
+@pytest.mark.parametrize(
+    "params, primes",
+    [
+        ((2, 3, 1, 1), (2,)),
+        ((2, 3, 1, 1), (2, 3)),
+        ((2, 3, 3, 17), (2,)),
+        ((2, 3, 3, 17), (2, 3)),
+        # Some root of y or z has U^2 = (r - s)/2, the smaller root of the
+        # norm; on (-1, 5, 2, 1) a root also has U in the box and W = i/(2U)
+        # outside it.
+        ((2, 3, 3, 2), (2,)),
+        ((-1, 5, 2, 1), (2, 3)),
+    ],
+)
+def test_box_matches_naive_oracle_with_s_denominators(params, primes):
+    # The box's common denominator is L = 2 for S = {2} and L = 6 for
+    # S = {2, 3}: coordinates n/q with q > 1 are scanned as integers nL/q.
+    curve = validate_curve(*params)
+    s_primes = SPrimeSet.of(*primes)
+    got = set(box_search(SearchConfig(curve, s_primes, coeff_bound=3, eps_bound=10)))
+    assert got == naive_box_oracle(curve, 10, 3, s_primes)
+    if params == (2, 3, 1, 1):
+        # x = sqrt(-2)/2 makes y = 0 and z = x.
+        half = Fraction(1, 2)
+        assert QuadPoint.make(-2, (0, half), (0, 0), (0, half)) in got
+
+
 def naive_exceptional_oracle(curve, s_primes, bound):
     """Triple-loop oracle for the three genus-1 shapes, written independently
     of the search module: integral t, u in [-bound, bound] and v among the
@@ -202,16 +248,8 @@ def naive_exceptional_oracle(curve, s_primes, bound):
     from doublepell import canonical_representative, exceptional_eps_candidates
 
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    dens = []
-    for q in range(1, bound + 1):
-        rest = q
-        for p in s_primes.primes:
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            dens.append(q)
     span = range(-bound, bound + 1)
-    vs = {Fraction(n, q) for n in span for q in dens}
+    vs = {Fraction(n, q) for n in span for q in s_smooth_up_to(bound, s_primes)}
     hits = {}
     for eps in exceptional_eps_candidates(curve, s_primes):
         for t in span:
