@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -389,6 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 _DEFAULTS = {
     "pell": {"bound": 100, "count": None},
     "families": {"curve": None, "count": 3, "primes": None},
@@ -447,8 +454,7 @@ _REQUIRED = {
 
 def main(argv=None) -> int:
     """Parse, validate, run one command, time it and emit its report."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         for key in _REQUIRED.get(args.command, ()):

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -25,6 +27,7 @@ from .errors import (
 from .exactmath import (
     MultiQuad,
     _is_probable_prime,
+    _mul_radicands,
     factorize,
     squarefree_decompose,
 )
@@ -164,13 +167,29 @@ class QuadPoint:
     def flat(self) -> tuple[Fraction, ...]:
         return (*self.x, *self.y, *self.z)
 
+    @cached_property
+    def lift(self) -> tuple[int, tuple[int, int, int, int, int, int]]:
+        """(L, (X0, X1, Y0, Y1, Z0, Z1)): L > 0 the lcm of the six coordinate
+        denominators, and x = (X0 + X1*sqrt(eps))/L, y and z likewise."""
+        flat = self.flat()
+        L = lcm(*(q.denominator for q in flat))
+        return L, tuple(q.numerator * (L // q.denominator) for q in flat)
+
 
 def on_curve(curve: CurveParams, point: QuadPoint) -> bool:
-    """Exact check of both defining equations in Q(sqrt(eps))."""
-    x, y, z = point.coord_mqs()
-    eq1 = y * y - curve.a * (x * x) - curve.c
-    eq2 = z * z - curve.b * (x * x) - curve.d
-    return eq1.is_zero() and eq2.is_zero()
+    """Exact check of both defining equations in Q(sqrt(eps)), in integers
+    over the common denominator: y^2 = a*x^2 + c times L^2 is one equation
+    for the rational part and one for the sqrt(eps) part."""
+    e = point.eps
+    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    xx, xv = X0 * X0 + e * X1 * X1, X0 * X1
+    LL = L * L
+    return (
+        Y0 * Y0 + e * Y1 * Y1 == curve.a * xx + curve.c * LL
+        and Y0 * Y1 == curve.a * xv
+        and Z0 * Z0 + e * Z1 * Z1 == curve.b * xx + curve.d * LL
+        and Z0 * Z1 == curve.b * xv
+    )
 
 
 def eval_fgh(curve: CurveParams, point: QuadPoint):
@@ -214,6 +233,25 @@ class SymPoint:
     gamma: MultiQuad
 
 
+def _terms(*pairs: tuple[int, int]) -> dict[int, int]:
+    """{radicand: integer coefficient} of a sum of c*sqrt(r) terms, with
+    like radicands merged and zero coefficients dropped."""
+    acc: dict[int, int] = {}
+    for rad, co in pairs:
+        acc[rad] = acc.get(rad, 0) + co
+    return {rad: co for rad, co in acc.items() if co}
+
+
+def _terms_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The product of two _terms combinations of squarefree radicands."""
+    pairs = []
+    for r1, c1 in p.items():
+        for r2, c2 in q.items():
+            mult, rad = _mul_radicands(r1, r2)
+            pairs.append((rad, c1 * c2 * mult))
+    return _terms(*pairs)
+
+
 def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     """Evaluate ff, gg, hh by their symmetric bilinear expansions, and the
     unit-sum coordinates in closed form, with no field inverse.
@@ -224,34 +262,59 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
         ff*ff~ = c^2,  gg*gg~ = d^2,  hh*hh~ = (bc-ad)^2,
     so alpha = cd/(ff*gg) = ff~*gg~/(cd), beta = c(bc-ad)/(ff*hh) =
     ff~*hh~/(c(bc-ad)) and gamma = d(ad-bc)/(gg*hh) = gg~*hh~/(d(ad-bc)).
-    alpha + beta + gamma = 1 is asserted before returning.
+
+    All of it runs in integers over the point's lift: the norms
+    X0^2 - eps*X1^2 and the crosses 2(X0*Y0 - eps*X1*Y1) are the norms and
+    crosses of the coordinates times L^2, so ff, gg, hh and their flips are
+    integer combinations of radicals over L^2, and alpha, beta, gamma over
+    L^4*cd, L^4*c(bc-ad) and L^4*d(ad-bc).  alpha + beta + gamma = 1 is
+    asserted over L^4*cd(bc-ad) before a Fraction is built, one per term of
+    the six results.
     """
     if not on_curve(curve, point):
         raise OffCurve(f"{point} is not on {curve}")
     e = point.eps
-    a, b, c, d = curve.a, curve.b, curve.c, curve.d
+    a, b, c, d, cross = curve.a, curve.b, curve.c, curve.d, curve.cross
+    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    xx, yy, zz = X0 * X0 - e * X1 * X1, Y0 * Y0 - e * Y1 * Y1, Z0 * Z0 - e * Z1 * Z1
+    xy = 2 * (X0 * Y0 - e * X1 * Y1)
+    xz = 2 * (X0 * Z0 - e * X1 * Z1)
+    yz = 2 * (Y0 * Z0 - e * Y1 * Z1)
 
-    def norm(pair: Coord) -> Fraction:
-        u, v = pair
-        return u * u - e * v * v
-
-    def cross(p1: Coord, p2: Coord) -> Fraction:
-        return 2 * (p1[0] * p2[0] - e * p1[1] * p2[1])
-
-    def with_flip(rational: Fraction, radical: MultiQuad):
-        return rational + radical, rational - radical
+    def with_flip(rational: int, root: MultiQuad, factor: int):
+        ((rad, co),) = root.items()
+        radical = co.numerator * factor
+        return _terms((1, rational), (rad, radical)), _terms((1, rational), (rad, -radical))
 
     sa, sb, sab = curve.roots
-    xx, yy, zz = norm(point.x), norm(point.y), norm(point.z)
-    ff, ff_flip = with_flip(yy + a * xx, sa * cross(point.x, point.y))
-    gg, gg_flip = with_flip(zz + b * xx, sb * cross(point.x, point.z))
-    hh, hh_flip = with_flip(b * yy + a * zz, -sab * cross(point.y, point.z))
-    alpha = ff_flip * gg_flip * Fraction(1, c * d)
-    beta = ff_flip * hh_flip * Fraction(1, c * curve.cross)
-    gamma = gg_flip * hh_flip * Fraction(-1, d * curve.cross)
-    if alpha + beta + gamma != MultiQuad.one():
+    ff, ff_flip = with_flip(yy + a * xx, sa, xy)
+    gg, gg_flip = with_flip(zz + b * xx, sb, xz)
+    hh, hh_flip = with_flip(b * yy + a * zz, sab, -yz)
+    alpha = _terms_mul(ff_flip, gg_flip)
+    beta = _terms_mul(ff_flip, hh_flip)
+    gamma = _terms_mul(gg_flip, hh_flip)
+    L4 = L**4
+    unit_sum = _terms(
+        *((rad, co * cross) for rad, co in alpha.items()),
+        *((rad, co * d) for rad, co in beta.items()),
+        *((rad, -co * c) for rad, co in gamma.items()),
+    )
+    if unit_sum != {1: L4 * c * d * cross}:
         raise PanicInvariant(f"alpha+beta+gamma != 1 at {point}")
-    return SymPoint(point, ff, gg, hh, alpha, beta, gamma)
+
+    def over(terms: dict[int, int], den: int) -> MultiQuad:
+        return MultiQuad._of({rad: Fraction(co, den) for rad, co in terms.items()})
+
+    LL = L * L
+    return SymPoint(
+        point,
+        over(ff, LL),
+        over(gg, LL),
+        over(hh, LL),
+        over(alpha, L4 * c * d),
+        over(beta, L4 * c * cross),
+        over(gamma, -L4 * d * cross),
+    )
 
 
 @dataclass(frozen=True)
@@ -363,18 +426,32 @@ def canonical_representative(point: QuadPoint) -> QuadPoint:
     sign flips and conjugation: the variant with lexicographically maximal
     (u, v) sequence, which puts nonnegative entries first.
 
-    Sign flips keep eps squarefree and the radical parts nonzero, so the
-    winner needs no canonicalization through make().
+    Every variant's entry is +-|entry|, so two variants compare as their
+    sign sequences do: the signs (sx, sy, sz, tau) are chosen on integer
+    sign tuples, and only the entries they negate are rebuilt.  Sign flips
+    keep eps squarefree and the radical parts nonzero, so the winner needs
+    no canonicalization through make().
     """
     (ux, vx), (uy, vy), (uz, vz) = point.x, point.y, point.z
-    best = max(
-        (sx * ux, sx * tau * vx, sy * uy, sy * tau * vy, sz * uz, sz * tau * vz)
-        for sx in (1, -1)
-        for sy in (1, -1)
-        for sz in (1, -1)
-        for tau in (1, -1)
+    signs = [(q.numerator > 0) - (q.numerator < 0) for q in (ux, vx, uy, vy, uz, vz)]
+    sx, sy, sz, tau = max(
+        product((1, -1), repeat=4),
+        key=lambda t: (
+            t[0] * signs[0], t[0] * t[3] * signs[1],
+            t[1] * signs[2], t[1] * t[3] * signs[3],
+            t[2] * signs[4], t[2] * t[3] * signs[5],
+        ),
     )
-    return QuadPoint(point.eps, best[0:2], best[2:4], best[4:6])
+
+    def signed(q: Fraction, sign: int) -> Fraction:
+        return q if sign > 0 else -q
+
+    return QuadPoint(
+        point.eps,
+        (signed(ux, sx), signed(vx, sx * tau)),
+        (signed(uy, sy), signed(vy, sy * tau)),
+        (signed(uz, sz), signed(vz, sz * tau)),
+    )
 
 
 def pair_key(point: QuadPoint):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping, Union
 
 from .errors import DivisionByZero, DomainError
@@ -22,6 +23,19 @@ _TRIAL_LIMIT = 10_000
 # Deterministic Miller-Rabin bases, valid for n < 3.3e24; inputs here stay
 # far below that in practice.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _primes_upto(limit: int) -> tuple[int, ...]:
+    """The primes p <= limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(compress(range(limit + 1), sieve))
+
+
+_TRIAL_PRIMES = _primes_upto(_TRIAL_LIMIT)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -67,22 +81,19 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, as {prime: exponent}.
 
-    Trial division up to a fixed limit, then Pollard rho on what remains.
+    Trial division by the primes up to a fixed limit, then Pollard rho on
+    what remains.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    while f * f <= n and f <= _TRIAL_LIMIT:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -278,6 +278,40 @@ class TestPlumbing:
         )
         assert first == second
 
+    def test_parser_built_once_across_commands(self, capsys, monkeypatch, tmp_path):
+        # main keeps one parser per process; back-to-back runs of different
+        # subcommands, with and without --config, must not leak into each
+        # other's reports.
+        cli = sys.modules["doublepell.cli"]
+        builds = []
+
+        def counted_build():
+            builds.append(None)
+            return original_build()
+
+        original_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"curve": "2,3,1,1", "count": 2}))
+        runs = [
+            ("families", "--curve", "2,3,1,1", "--count", "2", "--no-timing"),
+            ("pell", "2", "1", "--bound", "50", "--no-timing"),
+            ("search", "--curve", "2,3,1,1", "--coeff-bound", "2", "--no-timing"),
+            ("families", "--config", str(config), "--no-timing"),
+            ("bounds", "--s", "1", "--H", "1", "--no-timing", "--format", "csv"),
+            ("classify", "--curve", "2,3,1,1", "--point", "1;0,0;1,0;1,0", "--no-timing"),
+        ]
+        cli._parser.cache_clear()
+        try:
+            first = [run_cli(capsys, *argv) for argv in runs]
+            again = [run_cli(capsys, *argv) for argv in reversed(runs)]
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert again[::-1] == first
+        assert all(code == 0 for code, _, _ in first)
+        assert first[3] == first[0]
+
     def test_timing_present_by_default(self, capsys):
         report = run_json(capsys, "bounds", "--s", "1", "--H", "1")
         assert "timing" in report and report["timing"]["seconds"] >= 0
@@ -472,6 +506,28 @@ class TestWorkPerPoint:
         )
         assert report["results"]
         assert len(calls) <= 10_000
+
+    def test_per_point_path_builds_few_fractions(self, capsys, monkeypatch):
+        # canonical_representative, on_curve and sym_invariants run in
+        # integers over the point's common denominator; Fractions are built
+        # for the coordinates and for the invariants the report prints.  The
+        # same path in Fraction arithmetic builds about 270 per record.
+        from fractions import Fraction
+
+        original_new = Fraction.__new__
+        calls = []
+
+        def counted_new(cls, *args, **kwargs):
+            calls.append(None)
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        report = run_json(
+            capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
+        )
+        records = len(report["results"])
+        assert records == 60
+        assert len(calls) <= 60 * records
 
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two
