@@ -91,10 +91,6 @@ def _parse_point(text: str) -> QuadPoint:
     return QuadPoint.make(eps, *coords)
 
 
-def _fr(q: Fraction) -> str:
-    return str(q)
-
-
 def _mq_pairs(value) -> list:
     return [[rad, str(co)] for rad, co in value.items()]
 
@@ -104,9 +100,9 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = Non
     sym = cls.sym
     record = {
         "eps": point.eps,
-        "x": [_fr(point.x[0]), _fr(point.x[1])],
-        "y": [_fr(point.y[0]), _fr(point.y[1])],
-        "z": [_fr(point.z[0]), _fr(point.z[1])],
+        "x": [str(point.x[0]), str(point.x[1])],
+        "y": [str(point.y[0]), str(point.y[1])],
+        "z": [str(point.z[0]), str(point.z[1])],
         "classification": {
             "verdict": cls.verdict.value,
             "degenerate_flags": sorted(cls.degenerate_flags),
@@ -118,7 +114,7 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = Non
     }
     if cls.verdict in FAMILY_VERDICTS:
         image = family_image(curve, point, cls.verdict)
-        record["family_image"] = [_fr(image[0]), _fr(image[1])]
+        record["family_image"] = [str(image[0]), str(image[1])]
     if source is not None:
         record["source"] = source
     return record

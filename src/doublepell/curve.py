@@ -27,7 +27,6 @@ from .errors import (
 from .exactmath import (
     MultiQuad,
     _is_probable_prime,
-    _mul_radicands,
     factorize,
     squarefree_decompose,
 )
@@ -132,15 +131,14 @@ class QuadPoint:
         if eps == 0:
             raise DomainError("eps must be nonzero")
         s, sf = squarefree_decompose(eps)
-        coords = []
-        for u, v in (x, y, z):
-            u, v = Fraction(u), Fraction(v) * s
-            if sf == 1:
-                u, v = u + v, Fraction(0)
-            coords.append((u, v))
-        if all(v == 0 for _, v in coords):
-            sf = 1
-            coords = [(u, Fraction(0)) for u, _ in coords]
+        zero = Fraction(0)
+        if sf == 1:
+            coords = [(Fraction(u + v * s), zero) for u, v in (x, y, z)]
+        else:
+            coords = [(Fraction(u), Fraction(v * s)) for u, v in (x, y, z)]
+            if not any(v for _, v in coords):
+                sf = 1
+                coords = [(u, zero) for u, _ in coords]
         return cls(sf, *coords)
 
     @classmethod
@@ -157,12 +155,12 @@ class QuadPoint:
         return self.eps == 1
 
     def coord_mqs(self) -> tuple[MultiQuad, MultiQuad, MultiQuad]:
-        def mq(pair: Coord) -> MultiQuad:
-            # eps is squarefree, and v = 0 when eps = 1.
-            u, v = pair
-            return MultiQuad._of({rad: co for rad, co in ((1, u), (self.eps, v)) if co})
-
-        return mq(self.x), mq(self.y), mq(self.z)
+        # eps is squarefree, and the radical numerator is 0 when eps = 1.
+        L, flat = self.lift
+        return tuple(
+            MultiQuad._of({rad: co for rad, co in ((1, u), (self.eps, v)) if co}, L)
+            for u, v in (flat[0:2], flat[2:4], flat[4:6])
+        )
 
     def flat(self) -> tuple[Fraction, ...]:
         return (*self.x, *self.y, *self.z)
@@ -233,25 +231,6 @@ class SymPoint:
     gamma: MultiQuad
 
 
-def _terms(*pairs: tuple[int, int]) -> dict[int, int]:
-    """{radicand: integer coefficient} of a sum of c*sqrt(r) terms, with
-    like radicands merged and zero coefficients dropped."""
-    acc: dict[int, int] = {}
-    for rad, co in pairs:
-        acc[rad] = acc.get(rad, 0) + co
-    return {rad: co for rad, co in acc.items() if co}
-
-
-def _terms_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """The product of two _terms combinations of squarefree radicands."""
-    pairs = []
-    for r1, c1 in p.items():
-        for r2, c2 in q.items():
-            mult, rad = _mul_radicands(r1, r2)
-            pairs.append((rad, c1 * c2 * mult))
-    return _terms(*pairs)
-
-
 def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     """Evaluate ff, gg, hh by their symmetric bilinear expansions, and the
     unit-sum coordinates in closed form, with no field inverse.
@@ -265,11 +244,11 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
 
     All of it runs in integers over the point's lift: the norms
     X0^2 - eps*X1^2 and the crosses 2(X0*Y0 - eps*X1*Y1) are the norms and
-    crosses of the coordinates times L^2, so ff, gg, hh and their flips are
-    integer combinations of radicals over L^2, and alpha, beta, gamma over
-    L^4*cd, L^4*c(bc-ad) and L^4*d(ad-bc).  alpha + beta + gamma = 1 is
-    asserted over L^4*cd(bc-ad) before a Fraction is built, one per term of
-    the six results.
+    crosses of the coordinates times L^2, so ff, gg, hh and their flips
+    times L^2 are MultiQuads with integer coefficients, one root times a
+    cross plus a rational, and alpha, beta, gamma are their products over
+    L^4*cd, L^4*c(bc-ad) and L^4*d(ad-bc).  The MultiQuad sum
+    alpha + beta + gamma must be 1.
     """
     if not on_curve(curve, point):
         raise OffCurve(f"{point} is not on {curve}")
@@ -281,40 +260,21 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     xz = 2 * (X0 * Z0 - e * X1 * Z1)
     yz = 2 * (Y0 * Z0 - e * Y1 * Z1)
 
-    def with_flip(rational: int, root: MultiQuad, factor: int):
-        ((rad, co),) = root.items()
-        radical = co.numerator * factor
-        return _terms((1, rational), (rad, radical)), _terms((1, rational), (rad, -radical))
+    def with_flip(rational: int, radical: MultiQuad):
+        return radical + rational, -radical + rational
 
     sa, sb, sab = curve.roots
-    ff, ff_flip = with_flip(yy + a * xx, sa, xy)
-    gg, gg_flip = with_flip(zz + b * xx, sb, xz)
-    hh, hh_flip = with_flip(b * yy + a * zz, sab, -yz)
-    alpha = _terms_mul(ff_flip, gg_flip)
-    beta = _terms_mul(ff_flip, hh_flip)
-    gamma = _terms_mul(gg_flip, hh_flip)
+    ff, ff_flip = with_flip(yy + a * xx, sa * xy)
+    gg, gg_flip = with_flip(zz + b * xx, sb * xz)
+    hh, hh_flip = with_flip(b * yy + a * zz, sab * -yz)
     L4 = L**4
-    unit_sum = _terms(
-        *((rad, co * cross) for rad, co in alpha.items()),
-        *((rad, co * d) for rad, co in beta.items()),
-        *((rad, -co * c) for rad, co in gamma.items()),
-    )
-    if unit_sum != {1: L4 * c * d * cross}:
+    alpha = ff_flip * gg_flip / (L4 * c * d)
+    beta = ff_flip * hh_flip / (L4 * c * cross)
+    gamma = gg_flip * hh_flip / (-L4 * d * cross)
+    if alpha + beta + gamma != 1:
         raise PanicInvariant(f"alpha+beta+gamma != 1 at {point}")
-
-    def over(terms: dict[int, int], den: int) -> MultiQuad:
-        return MultiQuad._of({rad: Fraction(co, den) for rad, co in terms.items()})
-
     LL = L * L
-    return SymPoint(
-        point,
-        over(ff, LL),
-        over(gg, LL),
-        over(hh, LL),
-        over(alpha, L4 * c * d),
-        over(beta, L4 * c * cross),
-        over(gamma, -L4 * d * cross),
-    )
+    return SymPoint(point, ff / LL, gg / LL, hh / LL, alpha, beta, gamma)
 
 
 @dataclass(frozen=True)

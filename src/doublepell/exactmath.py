@@ -1,11 +1,14 @@
 """Exact arithmetic over multiquadratic extensions of Q.
 
 An element is a finite Q-linear combination of sqrt(d) over distinct
-squarefree integers d, with d = 1 carrying the rational part.  The complex
-embedding is fixed once and for all by sqrt(d) = i*sqrt(|d|) for d < 0;
-that choice determines every sign rule below.  Linear independence of the
-radicals over Q makes the representation unique, so equality is term-map
-equality and no floating point enters any exact path.
+squarefree integers d, with d = 1 carrying the rational part.  It is stored
+as integer numerators over one positive denominator that shares no factor
+with all of them, as FLINT's nf_elem stores number field elements, so the
+arithmetic runs in ints.  The complex embedding is fixed once and for all by
+sqrt(d) = i*sqrt(|d|) for d < 0; that choice determines every sign rule
+below.  Linear independence of the radicals over Q makes the reduced
+representation unique, so equality is equality of numerators and
+denominator, and no floating point enters any exact path.
 """
 
 from __future__ import annotations
@@ -132,99 +135,87 @@ def isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def _mul_radicands(m: int, n: int) -> tuple[int, int]:
-    """Reduce sqrt(m)*sqrt(n) to mult*sqrt(rad) for squarefree m, n.
-
-    sqrt(m)*sqrt(n) = s*g*sqrt(m*n/g^2) with g = gcd(|m|,|n|) and s = -1
-    exactly when both m and n are negative (i*i = -1 under the embedding).
-    """
-    g = math.gcd(abs(m), abs(n))
-    rad = (m // g) * (n // g)
-    mult = -g if (m < 0 and n < 0) else g
-    return mult, rad
-
-
 class MultiQuad:
-    """An element of a multiquadratic field, stored as {radicand: coefficient}.
+    """An element of a multiquadratic field, stored as integer numerators
+    {radicand: numerator} over one positive denominator.
 
     Immutable; all arithmetic returns new values.  Radicands are nonzero
-    squarefree integers (1 for the rational part), coefficients are nonzero
-    Fractions.
+    squarefree integers (1 for the rational part), numerators are nonzero
+    ints, and the denominator shares no factor with all of them.  This is a
+    normal form: equal values have equal numerators and denominators.
+    items(), rational_value() and str() give Fraction coefficients.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[int, Coefficient] | None = None):
-        acc: dict[int, Fraction] = {}
-        if terms:
-            for rad, co in terms.items():
-                co = Fraction(co)
-                if co == 0:
-                    continue
-                if rad == 0:
-                    raise DomainError("radicand must be nonzero")
-                s, d = squarefree_decompose(rad)
-                cur = acc.get(d, Fraction(0)) + co * s
-                if cur == 0:
-                    acc.pop(d, None)
-                else:
-                    acc[d] = cur
-        self._terms = acc
-        self._hash = None
+        total = MultiQuad._of({})
+        for rad, co in (terms or {}).items():
+            if co == 0:
+                continue
+            if rad == 0:
+                raise DomainError("radicand must be nonzero")
+            s, d = squarefree_decompose(rad)
+            total = total + MultiQuad._of({d: co.numerator * s}, co.denominator)
+        self._num, self._den, self._hash = total._num, total._den, None
 
     # --- constructors ---
 
     @classmethod
-    def _of(cls, terms: dict[int, Fraction]) -> "MultiQuad":
-        """Wrap unchecked terms: squarefree radicands, nonzero Fractions."""
+    def _of(cls, num: dict[int, int], den: int = 1) -> "MultiQuad":
+        """Wrap unchecked numerators over den > 0: squarefree radicands,
+        nonzero ints; the common factor is divided out."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {rad: co // g for rad, co in num.items()}
+                den //= g
         out = cls.__new__(cls)
-        out._terms = terms
-        out._hash = None
+        out._num, out._den, out._hash = num, den, None
         return out
 
     @classmethod
     def from_rational(cls, q: Coefficient) -> "MultiQuad":
-        q = Fraction(q)
-        return cls._of({1: q} if q else {})
+        return cls._of({1: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def zero(cls) -> "MultiQuad":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "MultiQuad":
-        return cls._of({1: Fraction(1)})
+        return cls._of({1: 1})
 
     @classmethod
     def sqrt_int(cls, n: int) -> "MultiQuad":
         """The square root of the integer n under the fixed embedding."""
         if n == 0:
-            return cls()
+            return cls._of({})
         s, d = squarefree_decompose(n)
-        return cls._of({d: Fraction(s)})
+        return cls._of({d: s})
 
     # --- inspection ---
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._terms.items()))
+        return tuple(sorted((rad, Fraction(co, self._den)) for rad, co in self._num.items()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return set(self._terms) <= {1}
+        return self._num.keys() <= {1}
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError(f"{self} is not rational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def to_complex(self) -> complex:
         """Numeric value under the fixed embedding (sanity checks only)."""
         total = 0j
-        for rad, co in self._terms.items():
+        for rad, co in self._num.items():
             root = math.sqrt(rad) if rad > 0 else 1j * math.sqrt(-rad)
-            total += float(co) * root
+            total += co / self._den * root
         return total
 
     # --- arithmetic ---
@@ -238,22 +229,33 @@ class MultiQuad:
         return None
 
     def __add__(self, other):
+        if isinstance(other, int):
+            num = dict(self._num)
+            cur = num.get(1, 0) + other * self._den
+            if cur:
+                num[1] = cur
+            else:
+                num.pop(1, None)
+            return MultiQuad._of(num, self._den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for rad, co in other._terms.items():
-            cur = acc.get(rad, Fraction(0)) + co
-            if cur == 0:
-                acc.pop(rad, None)
-            else:
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        acc = {rad: co * s1 for rad, co in self._num.items()}
+        for rad, co in other._num.items():
+            cur = acc.get(rad, 0) + co * s2
+            if cur:
                 acc[rad] = cur
-        return MultiQuad._of(acc)
+            else:
+                acc.pop(rad, None)
+        return MultiQuad._of(acc, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiQuad._of({rad: -co for rad, co in self._terms.items()})
+        return MultiQuad._of({rad: -co for rad, co in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -268,21 +270,40 @@ class MultiQuad:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return MultiQuad._of({})
+            return MultiQuad._of({rad: co * other for rad, co in self._num.items()}, self._den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
-                mult, rad = _mul_radicands(r1, r2)
-                cur = acc.get(rad, Fraction(0)) + c1 * c2 * mult
-                if cur == 0:
-                    acc.pop(rad, None)
-                else:
+        # For squarefree m, n, sqrt(m)*sqrt(n) = s*g*sqrt(m*n/g^2) with
+        # g = gcd(|m|, |n|) and s = -1 exactly when both are negative
+        # (i*i = -1 under the embedding).
+        acc: dict[int, int] = {}
+        for r1, c1 in self._num.items():
+            for r2, c2 in other._num.items():
+                g = math.gcd(r1, r2)
+                rad = (r1 // g) * (r2 // g)
+                cur = acc.get(rad, 0) + c1 * c2 * (-g if r1 < 0 and r2 < 0 else g)
+                if cur:
                     acc[rad] = cur
-        return MultiQuad._of(acc)
+                else:
+                    acc.pop(rad, None)
+        return MultiQuad._of(acc, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero int."""
+        if not isinstance(other, int):
+            return NotImplemented
+        if other == 0:
+            raise DivisionByZero("division by 0")
+        num = self._num
+        if other < 0:
+            num = {rad: -co for rad, co in num.items()}
+        return MultiQuad._of(num, self._den * abs(other))
 
     def inverse(self) -> "MultiQuad":
         """Exact multiplicative inverse by iterated conjugation.
@@ -291,8 +312,8 @@ class MultiQuad:
         for every prime p of k (complex conjugation for k = -1), by the parity
         argument in _split_key.  A value times its flip is fixed by it, so no
         prime of k divides a radicand of the product: the primes of the
-        support shrink at each step until a rational is left, whose inverse is
-        plain Fraction arithmetic.  No step factors a radicand.
+        support shrink at each step until a rational n/q is left, and the
+        inverse is the numerator times q/n.  No step factors a radicand.
         """
         if self.is_zero():
             raise DivisionByZero("inverse of 0")
@@ -302,7 +323,7 @@ class MultiQuad:
             conj = den._flip(den._split_key())
             num = num * conj
             den = den * conj
-        return num * MultiQuad.from_rational(1 / den.rational_value())
+        return num * den._den / den._num[1]
 
     def _split_key(self) -> int:
         """-1 when every support radicand is +-1, else a k > 1 that divides
@@ -316,7 +337,7 @@ class MultiQuad:
         Negating the terms k divides is therefore sqrt(p) -> -sqrt(p), an
         automorphism, just as for a prime key.
         """
-        rads = [abs(rad) for rad in self._terms if abs(rad) > 1]
+        rads = [abs(rad) for rad in self._num if abs(rad) > 1]
         if not rads:
             return -1
         key = rads[0]
@@ -340,8 +361,8 @@ class MultiQuad:
         divides."""
         return MultiQuad._of({
             rad: -co if (rad < 0 if key == -1 else rad % key == 0) else co
-            for rad, co in self._terms.items()
-        })
+            for rad, co in self._num.items()
+        }, self._den)
 
     # --- comparison ---
 
@@ -349,7 +370,7 @@ class MultiQuad:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
@@ -362,16 +383,16 @@ class MultiQuad:
         return self._hash
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def __repr__(self):
         return f"MultiQuad({self!s})"
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for rad, co in sorted(self._terms.items(), key=lambda t: (t[0] != 1, t[0])):
+        for rad, co in sorted(self.items(), key=lambda t: (t[0] != 1, t[0])):
             if rad == 1:
                 parts.append(str(co))
                 continue

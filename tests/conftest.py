@@ -9,6 +9,7 @@ cheaply on many distinct curves.
 import signal
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,25 @@ def count_calls(monkeypatch):
                 continue
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+
+    return install
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """count_fractions() returns a list that gains one entry for every
+    Fraction built from then on, until the test ends."""
+
+    def install():
+        original_new = Fraction.__new__
+        calls = []
+
+        def counted_new(cls, *args, **kwargs):
+            calls.append(None)
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        return calls
 
     return install
 

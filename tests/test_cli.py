@@ -486,20 +486,11 @@ class TestWorkPerPoint:
         assert report["results"]
         assert len(calls) == 0
 
-    def test_box_scan_builds_fractions_only_for_candidates(self, capsys, monkeypatch):
+    def test_box_scan_builds_fractions_only_for_candidates(self, capsys, count_fractions):
         # The box is scanned in integers over one common denominator; a
         # Fraction is built only for a candidate that passed both root tests,
         # and for the records printed.  A Fraction scan makes about 10^6.
-        from fractions import Fraction
-
-        original_new = Fraction.__new__
-        calls = []
-
-        def counted_new(cls, *args, **kwargs):
-            calls.append(None)
-            return original_new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        calls = count_fractions()
         report = run_json(
             capsys, "search", "--curve", "2,3,1,1", "--primes", "2,3",
             "--coeff-bound", "8", "--no-timing",
@@ -507,27 +498,20 @@ class TestWorkPerPoint:
         assert report["results"]
         assert len(calls) <= 10_000
 
-    def test_per_point_path_builds_few_fractions(self, capsys, monkeypatch):
+    def test_per_point_path_builds_few_fractions(self, capsys, count_fractions):
         # canonical_representative, on_curve and sym_invariants run in
-        # integers over the point's common denominator; Fractions are built
-        # for the coordinates and for the invariants the report prints.  The
-        # same path in Fraction arithmetic builds about 270 per record.
-        from fractions import Fraction
-
-        original_new = Fraction.__new__
-        calls = []
-
-        def counted_new(cls, *args, **kwargs):
-            calls.append(None)
-            return original_new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        # integers over the point's common denominator, and MultiQuad holds
+        # integer numerators, so comparing an invariant with an int builds
+        # none; Fractions are built for the coordinates and for the
+        # invariants the report prints.  The same path in Fraction
+        # arithmetic builds about 270 per record.
+        calls = count_fractions()
         report = run_json(
             capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
         )
         records = len(report["results"])
         assert records == 60
-        assert len(calls) <= 60 * records
+        assert len(calls) <= 25 * records
 
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two

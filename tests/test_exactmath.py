@@ -189,28 +189,125 @@ class TestConjugateUnder:
             MultiQuad.one().conjugate_under(4)
 
 
-def _random_mq(rng, pool, max_coeff):
+def _random_terms(rng, pool, max_coeff):
     rads = rng.sample(pool, rng.randint(0, 3))
     terms = {1: rng.randint(-max_coeff, max_coeff)}
     for r in rads:
         terms[r] = rng.randint(-max_coeff, max_coeff)
-    return MultiQuad(terms)
+    return terms
+
+
+def _random_mq(rng, pool, max_coeff):
+    return MultiQuad(_random_terms(rng, pool, max_coeff))
+
+
+def _large_sample():
+    """10^4 triples of term maps with coefficients up to 10^6."""
+    rng = random.Random(2024)
+    pool = [-6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15, 21, -10]
+    for _ in range(10_000):
+        yield [_random_terms(rng, pool, 10**6) for _ in range(3)]
 
 
 def test_field_axioms_large_sample():
     """Associativity, commutativity, distributivity on 10^4 random triples
     with coefficients up to 10^6; all exact."""
-    rng = random.Random(2024)
-    pool = [-6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 15, 21, -10]
-    for _ in range(10_000):
-        x = _random_mq(rng, pool, 10**6)
-        y = _random_mq(rng, pool, 10**6)
-        z = _random_mq(rng, pool, 10**6)
+    for terms in _large_sample():
+        x, y, z = map(MultiQuad, terms)
         assert x + y == y + x
         assert x * y == y * x
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+
+
+class FractionMultiQuad:
+    """The Fraction-coefficient form that integer numerators over one
+    denominator replaced, kept as the reference: {radicand: nonzero
+    Fraction}, with terms merged as they are built."""
+
+    def __init__(self, terms):
+        self.terms = {}
+        for rad, co in terms.items():
+            co = Fraction(co)
+            if co == 0:
+                continue
+            s, d = squarefree_decompose(rad)
+            self._accumulate(d, co * s)
+
+    def _accumulate(self, rad, co):
+        cur = self.terms.get(rad, Fraction(0)) + co
+        if cur == 0:
+            self.terms.pop(rad, None)
+        else:
+            self.terms[rad] = cur
+
+    def __add__(self, other):
+        out = FractionMultiQuad(self.terms)
+        for rad, co in other.terms.items():
+            out._accumulate(rad, co)
+        return out
+
+    def __mul__(self, other):
+        out = FractionMultiQuad({})
+        for r1, c1 in self.terms.items():
+            for r2, c2 in other.terms.items():
+                g = math.gcd(abs(r1), abs(r2))
+                mult = -g if (r1 < 0 and r2 < 0) else g
+                out._accumulate((r1 // g) * (r2 // g), c1 * c2 * mult)
+        return out
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def agrees(self, mq):
+        return mq.items() == tuple(sorted(self.terms.items()))
+
+
+def _assert_matches_reference(*term_maps):
+    """Each map builds the same value in both forms, and each consecutive
+    pair adds, multiplies and compares alike."""
+    built = [(MultiQuad(t), FractionMultiQuad(t)) for t in term_maps]
+    for mq, ref in built:
+        assert ref.agrees(mq), mq
+    for (x, rx), (y, ry) in zip(built, built[1:]):
+        assert (rx + ry).agrees(x + y), (x, y)
+        assert (rx * ry).agrees(x * y), (x, y)
+        assert (x == y) == (rx == ry)
+
+
+def test_large_sample_matches_fraction_reference():
+    """The large sample's elements, and the same numerators over random
+    denominators, against the Fraction reference."""
+    dens = random.Random(31)
+    for x, y, z in _large_sample():
+        yq, zq = ({r: Fraction(c, dens.randint(1, 60)) for r, c in t.items()} for t in (y, z))
+        _assert_matches_reference(x, yq, zq)
+
+
+class TestNormalForm:
+    def test_one_value_built_three_ways(self):
+        x = MultiQuad({1: Fraction(2, 4), 2: Fraction(1, 2)})
+        y = MultiQuad({1: 1, 2: 1}) / 2
+        z = MultiQuad.from_rational(Fraction(1, 2)) + MultiQuad({8: Fraction(1, 4)})
+        assert x == y == z
+        assert hash(x) == hash(y) == hash(z)
+
+    def test_scaling_then_dividing_round_trips(self):
+        x = MultiQuad({1: Fraction(3, 5), 6: Fraction(-7, 10)})
+        assert (x * 6) / 6 == x
+
+    def test_negative_divisor_keeps_denominator_positive(self):
+        q = MultiQuad({1: 1, 2: Fraction(1, 2)}) / -3
+        assert q._den > 0
+        assert q == MultiQuad({1: Fraction(-1, 3), 2: Fraction(-1, 6)})
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(DivisionByZero):
+            MultiQuad({2: 1}) / 0
+
+    def test_rational_hashes_like_its_fraction(self):
+        assert hash(MultiQuad.from_rational(Fraction(3, 4))) == hash(Fraction(3, 4))
 
 
 def test_canonical_form_round_trip():
@@ -256,12 +353,22 @@ _coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
 @st.composite
-def multiquads(draw):
+def term_maps(draw):
     n = draw(st.integers(min_value=0, max_value=3))
     terms = {}
     for _ in range(n):
         terms[draw(_rads)] = draw(_coeffs)
-    return MultiQuad(terms)
+    return terms
+
+
+def multiquads():
+    return term_maps().map(MultiQuad)
+
+
+@settings(deadline=None)
+@given(term_maps(), term_maps(), term_maps())
+def test_matches_fraction_reference_property(x, y, z):
+    _assert_matches_reference(x, y, z)
 
 
 @settings(deadline=None)

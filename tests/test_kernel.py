@@ -1,11 +1,14 @@
 """The integer per-point kernel against its Fraction oracles.
 
-on_curve, sym_invariants and canonical_representative run in integers over
-each point's common denominator.  The oracles below are their direct
-Fraction and MultiQuad forms: both curve equations as MultiQuad
-polynomials, ff, gg, hh and their flips as MultiQuad sums with alpha, beta,
+on_curve and canonical_representative run in integers over each point's
+common denominator, and sym_invariants forms ff, gg, hh from that integer
+lift as MultiQuads, which hold integer numerators over one denominator.
+The oracles below start from the Fraction coordinates instead: both curve
+equations as MultiQuad polynomials in the coordinates, ff, gg, hh and their
+flips as MultiQuad sums of Fraction norms and crosses with alpha, beta,
 gamma as scaled products, and the lexicographic max over all 16 sign and
-conjugation variants.
+conjugation variants.  MultiQuad itself is checked against the Fraction
+coefficient form in test_exactmath.py.
 """
 
 from fractions import Fraction
