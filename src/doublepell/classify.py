@@ -49,6 +49,8 @@ _LOCUS_VERDICT = {
     "z+": Verdict.EXCEPTIONAL_Z,
 }
 _AXIS_FLAG = {"x": "alpha", "y": "beta", "z": "gamma"}
+# The degenerate flag of each family: that of the axis whose "-" locus it is.
+FAMILY_FLAG = {_LOCUS_VERDICT[f"{axis}-"]: flag for axis, flag in _AXIS_FLAG.items()}
 
 
 @dataclass(frozen=True)
@@ -179,20 +181,21 @@ def family_image(
     curve: CurveParams, point: QuadPoint, verdict: Verdict
 ) -> tuple[Fraction, Fraction]:
     """The rational coordinate pair a family point projects to, checked
-    against its conic."""
+    against its conic in integers over the point's common denominator."""
     if verdict not in FAMILY_VERDICTS:
         raise DomainError(f"{verdict} is not a family verdict")
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    (ux, vx), (uy, vy), (uz, vz) = point.x, point.y, point.z
+    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    LL = L * L
     if verdict is Verdict.FAMILY_XY:
-        ok = vx == 0 and vy == 0 and uy * uy == a * ux * ux + c
-        image = (ux, uy)
+        ok = X1 == 0 and Y1 == 0 and Y0 * Y0 == a * X0 * X0 + c * LL
+        image = (point.x[0], point.y[0])
     elif verdict is Verdict.FAMILY_XZ:
-        ok = vx == 0 and vz == 0 and uz * uz == b * ux * ux + d
-        image = (ux, uz)
+        ok = X1 == 0 and Z1 == 0 and Z0 * Z0 == b * X0 * X0 + d * LL
+        image = (point.x[0], point.z[0])
     else:
-        ok = vy == 0 and vz == 0 and b * uy * uy - a * uz * uz == b * c - a * d
-        image = (uy, uz)
+        ok = Y1 == 0 and Z1 == 0 and b * Y0 * Y0 - a * Z0 * Z0 == curve.cross * LL
+        image = (point.y[0], point.z[0])
     if not ok:
         raise PanicInvariant(f"family image of {point} fails its conic")
     return image

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .classify import FAMILY_VERDICTS, Verdict, classify, family_image
+from .classify import FAMILY_FLAG, FAMILY_VERDICTS, Verdict, classify, family_image
 from .curve import (
     CurveParams,
     QuadPoint,
@@ -47,13 +47,6 @@ _IDENTITY_NAMES = (
 )
 
 _INVARIANT_NAMES = ("ff", "gg", "hh", "alpha", "beta", "gamma")
-
-_EXPECTED_FLAG = {
-    "family_xy": ("gamma", Verdict.FAMILY_XY),
-    "family_xz": ("beta", Verdict.FAMILY_XZ),
-    "family_yz": ("alpha", Verdict.FAMILY_YZ),
-}
-
 
 def _parse_curve(text: str) -> CurveParams:
     parts = text.split(",")
@@ -120,15 +113,12 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = Non
     return record
 
 
-def _check_family_verdict(source: str, record: dict):
-    flag, expected = _EXPECTED_FLAG[source]
+def _check_family_verdict(source: str, expected: Verdict, record: dict):
     cls = record["classification"]
     verdict = cls["verdict"]
-    if verdict in (Verdict.RATIONAL.value, Verdict.K_RATIONAL.value):
+    if verdict in (Verdict.RATIONAL.value, Verdict.K_RATIONAL.value, expected.value):
         return
-    if verdict == expected.value:
-        return
-    if cls["multi_degenerate"] and flag in cls["degenerate_flags"]:
+    if cls["multi_degenerate"] and FAMILY_FLAG[expected] in cls["degenerate_flags"]:
         return
     raise PanicInvariant(f"{source} emission classified as {verdict}")
 
@@ -214,6 +204,17 @@ def cmd_pell(args) -> tuple[dict, int]:
     return report, 0
 
 
+def _families(cfg: SearchConfig) -> list[tuple[str, Verdict, list[QuadPoint]]]:
+    """The three families as (source, verdict, points).  Each enumerator is
+    looked up by name at the call, not kept in a table built at import, so a
+    wrapper bound over the module's name is the one that runs."""
+    return [
+        ("family_xy", Verdict.FAMILY_XY, enumerate_family_xy(cfg)),
+        ("family_xz", Verdict.FAMILY_XZ, enumerate_family_xz(cfg)),
+        ("family_yz", Verdict.FAMILY_YZ, enumerate_family_yz(cfg)),
+    ]
+
+
 def _generate_points(curve: CurveParams, s_primes: SPrimeSet, count: int) -> list[QuadPoint]:
     """Candidate points for verification: families first, then a small box.
 
@@ -226,18 +227,12 @@ def _generate_points(curve: CurveParams, s_primes: SPrimeSet, count: int) -> lis
         return []
     per_family = min(count // 3 + 2, 25)
     cfg = SearchConfig(curve, s_primes, family_count=per_family)
-    seen: dict[tuple, QuadPoint] = {}
-    for enumerator in (enumerate_family_xy, enumerate_family_xz, enumerate_family_yz):
-        for pt in enumerator(cfg):
-            seen.setdefault((pt.eps,) + pt.flat(), pt)
+    seen = {pt for _, _, points in _families(cfg) for pt in points}
     if len(seen) < count:
         small = SearchConfig(curve, s_primes, coeff_bound=6, eps_bound=13, family_count=1)
-        for pt in box_search(small):
-            seen.setdefault((pt.eps,) + pt.flat(), pt)
-        for pt in search_exceptional(small):
-            seen.setdefault((pt.eps,) + pt.flat(), pt)
-    ordered = sorted(seen.values(), key=_point_key)
-    return ordered[:count]
+        seen.update(box_search(small))
+        seen.update(search_exceptional(small))
+    return sorted(seen, key=_point_key)[:count]
 
 
 def cmd_families(args) -> tuple[dict, int]:
@@ -246,14 +241,10 @@ def cmd_families(args) -> tuple[dict, int]:
     results = []
     if args.count > 0:
         cfg = SearchConfig(curve, s_primes, family_count=args.count)
-        for source, enumerator in (
-            ("family_xy", enumerate_family_xy),
-            ("family_xz", enumerate_family_xz),
-            ("family_yz", enumerate_family_yz),
-        ):
-            for pt in enumerator(cfg):
+        for source, verdict, points in _families(cfg):
+            for pt in points:
                 record = _point_record(curve, pt, source)
-                _check_family_verdict(source, record)
+                _check_family_verdict(source, verdict, record)
                 results.append(record)
     report = _base_report("families", {"count": args.count}, curve)
     report["results"] = results
@@ -298,10 +289,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     points = _generate_points(curve, s_primes, args.count)
     per_identity = {name: {"pass": 0, "fail": 0} for name in _IDENTITY_NAMES}
     failures = 0
-    for index, point in enumerate(points):
+    for point in points:
         outcome = verify_identities(curve, point).as_dict()
-        if args.inject_failure and index == 0:
-            outcome["unit_sum"] = False
         for name, ok in outcome.items():
             per_identity[name]["pass" if ok else "fail"] += 1
             failures += 0 if ok else 1
@@ -373,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--primes", default=None)
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

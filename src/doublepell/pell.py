@@ -136,17 +136,6 @@ def _branches(sols: PellSolutionSet, ymax: int) -> list:
     return [branch(x, y) for x, y in starts]
 
 
-def _solution_stream(sols: PellSolutionSet, ymax: int):
-    """The nonnegative solutions with y <= ymax, lazily, in strictly
-    ascending y: the branches merged by y, less the repeat an ambiguous
-    class yields (each y has at most one x >= 0)."""
-    last = -1
-    for pair in heapq.merge(*_branches(sols, ymax), key=itemgetter(1)):
-        if pair[1] != last:
-            last = pair[1]
-            yield pair
-
-
 def pell_classes(problem: PellProblem) -> PellSolutionSet:
     """Class representatives (plus fundamental unit) for x^2 - D*y^2 = N.
 
@@ -232,9 +221,16 @@ def pell_iterate(sols: PellSolutionSet, bound: int) -> list[tuple[int, int]]:
 
 def _conic_stream(A: int, B: int, C: int, zmax: int):
     """Nonnegative solutions (y, z) of A*y^2 - B*z^2 = C with z <= zmax,
-    lazily, in strictly ascending z: u = A*y on u^2 - (A*B)*z^2 = A*C, walked
-    up to zmax, which also ends a walk where A divides no u."""
-    for u, z in _solution_stream(pell_classes(PellProblem(A * B, A * C)), zmax):
+    lazily, in strictly ascending z: u = A*y on u^2 - (A*B)*z^2 = A*C, its
+    branches walked up to zmax and merged by z, less the repeat an ambiguous
+    class yields (each z has at most one u >= 0).  zmax also ends a walk
+    where A divides no u."""
+    branches = _branches(pell_classes(PellProblem(A * B, A * C)), zmax)
+    last = -1
+    for u, z in heapq.merge(*branches, key=itemgetter(1)):
+        if z == last:
+            continue
+        last = z
         if u % A == 0:
             y = u // A
             if A * y * y - B * z * z != C:

@@ -1,10 +1,15 @@
 """Materializing point sets at desk scale.
 
-The three family enumerators ride the Pell machinery; box_search is an
-exhaustive independent oracle over a finite coefficient box; the genus-1
-locus hunt scans each shape straight over that box, O(coeff_bound) square
-tests per shape and admissible radicand; and the unit-equation enumerator
-cross-checks the invariant triples of rational-valued points.
+A family point has two integral coordinates (s, t) on one of the conics
+y^2 = a x^2 + c, z^2 = b x^2 + d and b y^2 - a z^2 = bc - ad, and a third
+that is the square root of an S-integer in s and t; one walk along the
+conic's lazy Pell stream enumerates each of the three families.
+
+box_search is an exhaustive independent oracle over a finite coefficient
+box; the genus-1 locus hunt scans each shape straight over that box,
+O(coeff_bound) square tests per shape and admissible radicand; and the
+unit-equation enumerator cross-checks the invariant triples of
+rational-valued points.
 
 Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
 integer up to coeff_bound, so both searches work over the common
@@ -33,10 +38,10 @@ from .curve import (
 )
 from .errors import DomainError, PanicInvariant
 from .exactmath import isqrt_exact, squarefree_decompose
-from .pell import PellProblem, _conic_stream, _solution_stream, pell_classes
+from .pell import _conic_stream
 
-# The family walks stop when the Pell y (x for the x families, z for yz)
-# passes this cap, so a family with no further point still ends.
+# The family walk stops when t passes this cap, so a family with no further
+# point still ends.
 _PELL_Y_CAP = 2**100
 
 
@@ -77,21 +82,27 @@ def _point_key(p: QuadPoint):
     return (abs(p.eps), p.eps, p.flat())
 
 
-def _enumerate_x_family(cfg: SearchConfig, conic, completion, swap: bool) -> list[QuadPoint]:
-    """Points over integral (x, w) on w^2 = conic[0] x^2 + conic[1], the third
-    coordinate completed as sqrt(completion[0] x^2 + completion[1]); w is y
-    and the completed coordinate z, or the reverse when `swap`.  Walks the
-    Pell stream in ascending x until family_count points or x > _PELL_Y_CAP;
-    canonical representatives."""
+def _walk_family(cfg: SearchConfig, conic, third, place) -> list[QuadPoint]:
+    """Points over the integral (s, t) on A*s^2 - B*t^2 = C, conic = (A, B,
+    C), in ascending t until family_count points or t > _PELL_Y_CAP;
+    canonical representatives.
+
+    The third coordinate is sqrt(r), r = third(s, t), and a step is kept
+    when r is an S-integer, its denominator supported on S; place(s, t, w)
+    orders the coordinate pairs (s, 0), (t, 0) and w as (x, y, z).
+    """
+    primes = cfg.s_primes.primes
     points = []
-    for w, x in _solution_stream(pell_classes(PellProblem(*conic)), _PELL_Y_CAP):
-        radicand = completion[0] * x * x + completion[1]
-        # make() folds the square part of the radicand into the completed
-        # coordinate, and a square radicand into its rational part; a zero
-        # radicand makes the coordinate 0.
-        t = (0, 1) if radicand else (0, 0)
-        w_pair = (w, 0)
-        pt = QuadPoint.make(radicand or 1, (x, 0), *((t, w_pair) if swap else (w_pair, t)))
+    for s, t in _conic_stream(*conic, _PELL_Y_CAP):
+        r = third(s, t)
+        if not _is_s_fraction(r, primes):
+            continue
+        # sqrt(p/q) = sqrt(p*q)/q: make() folds the square part of p*q into
+        # the coordinate, and a square p*q into its rational part.  For an
+        # integral r the coordinate stays the int 1, so no Fraction is built.
+        p, q = r.numerator, r.denominator
+        w = (0, Fraction(1, q) if q > 1 else 1) if p else (0, 0)
+        pt = QuadPoint.make(p * q or 1, *place((s, 0), (t, 0), w))
         points.append(canonical_representative(pt))
         if len(points) == cfg.family_count:
             break
@@ -100,40 +111,33 @@ def _enumerate_x_family(cfg: SearchConfig, conic, completion, swap: bool) -> lis
 
 def enumerate_family_xy(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral solutions of y^2 = a x^2 + c, with z completed
-    as sqrt(b x^2 + d); ascending |x|, canonical representatives."""
-    curve = cfg.curve
-    return _enumerate_x_family(cfg, (curve.a, curve.c), (curve.b, curve.d), swap=False)
+    as sqrt(b x^2 + d); ascending x, canonical representatives."""
+    a, b, c, d = cfg.curve.a, cfg.curve.b, cfg.curve.c, cfg.curve.d
+    return _walk_family(
+        cfg, (1, a, c), lambda y, x: b * x * x + d, lambda y, x, z: (x, y, z)
+    )
 
 
 def enumerate_family_xz(cfg: SearchConfig) -> list[QuadPoint]:
     """Mirror of the xy family: integral (x, z) on z^2 = b x^2 + d with y
     completed as sqrt(a x^2 + c)."""
-    curve = cfg.curve
-    return _enumerate_x_family(cfg, (curve.b, curve.d), (curve.a, curve.c), swap=True)
+    a, b, c, d = cfg.curve.a, cfg.curve.b, cfg.curve.c, cfg.curve.d
+    return _walk_family(
+        cfg, (1, b, d), lambda z, x: a * x * x + c, lambda z, x, y: (x, y, z)
+    )
 
 
 def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral (y, z) with b y^2 - a z^2 = bc - ad, keeping the
-    subsequence where (y^2 - c)/a is an S-integer; x completes the point.
-    Walks the conic's stream in ascending z until family_count points or
-    z > _PELL_Y_CAP."""
+    subsequence where x^2 = (y^2 - c)/a is an S-integer; ascending z,
+    canonical representatives."""
     curve = cfg.curve
-    primes = cfg.s_primes.primes
-    points = []
-    for y, z in _conic_stream(curve.b, curve.a, curve.cross, _PELL_Y_CAP):
-        t = Fraction(y * y - curve.c, curve.a)
-        if not _is_s_fraction(t, primes):
-            continue
-        if t == 0:
-            pt = QuadPoint.rational(0, y, z)
-        else:
-            # x = sqrt(p/q) = sqrt(p*q)/q; make() takes the square part.
-            p, q = t.numerator, t.denominator
-            pt = QuadPoint.make(p * q, (0, Fraction(1, q)), (y, 0), (z, 0))
-        points.append(canonical_representative(pt))
-        if len(points) == cfg.family_count:
-            break
-    return points
+    return _walk_family(
+        cfg,
+        (curve.b, curve.a, curve.cross),
+        lambda y, z: Fraction(y * y - curve.c, curve.a),
+        lambda y, z, x: (x, y, z),
+    )
 
 
 def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:

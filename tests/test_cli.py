@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -227,11 +228,19 @@ class TestVerifyCommand:
             )
         assert report["identity_summary"]["failures"] == 0
 
-    def test_injected_failure_exits_3(self, capsys):
+    def test_injected_failure_exits_3(self, capsys, monkeypatch):
+        cli = sys.modules["doublepell.cli"]
+        original = cli.verify_identities
+        points = []
+
+        def failing_at_first_point(curve, point):
+            report = original(curve, point)
+            points.append(point)
+            return dataclasses.replace(report, unit_sum=False) if len(points) == 1 else report
+
+        monkeypatch.setattr(cli, "verify_identities", failing_at_first_point)
         code, out, _ = run_cli(
-            capsys,
-            "verify", "--curve", "2,3,1,1", "--count", "5",
-            "--inject-failure", "--no-timing",
+            capsys, "verify", "--curve", "2,3,1,1", "--count", "5", "--no-timing"
         )
         assert code == 3
         assert json.loads(out)["identity_summary"]["failures"] == 1
@@ -454,6 +463,27 @@ class TestWorkPerPoint:
         assert records == 60
         assert counts == {"pell_classes": 3, "make": records}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("families", "--curve", "2,3,1,1", "--count", "3"),
+            ("verify", "--curve", "2,3,1,1", "--count", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_family_enumerator_runs_once_through_its_cli_binding(
+        self, capsys, count_calls, argv
+    ):
+        # The benchmark's tracer wraps the enumerators by rebinding their
+        # names in doublepell.cli; a table of them built at import would
+        # keep calling the originals.
+        names = ("enumerate_family_xy", "enumerate_family_xz", "enumerate_family_yz")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            count_calls(counts, "doublepell.search", name)
+        run_json(capsys, *argv, "--no-timing")
+        assert counts == dict.fromkeys(names, 1)
+
     def test_search_solves_no_pell_problem(self, capsys, count_calls):
         counts = {"pell_classes": 0}
         count_calls(counts, "doublepell.pell", "pell_classes")
@@ -502,8 +532,9 @@ class TestWorkPerPoint:
         # canonical_representative, on_curve and sym_invariants run in
         # integers over the point's common denominator, and MultiQuad holds
         # integer numerators, so comparing an invariant with an int builds
-        # none; Fractions are built for the coordinates and for the
-        # invariants the report prints.  The same path in Fraction
+        # none, and family_image tests its conic in integers over that
+        # denominator too; Fractions are built for the coordinates and for
+        # the invariants the report prints.  The same path in Fraction
         # arithmetic builds about 270 per record.
         calls = count_fractions()
         report = run_json(
@@ -511,7 +542,7 @@ class TestWorkPerPoint:
         )
         records = len(report["results"])
         assert records == 60
-        assert len(calls) <= 25 * records
+        assert len(calls) <= 18 * records
 
     def test_factorize_only_where_a_radicand_enters(self, capsys, count_calls):
         # QuadPoint.make factors each raw radicand once; the curve's two

@@ -4,7 +4,8 @@ Each digest is the SHA-256 of the command's standard output with
 --no-timing, recorded before the commands were folded into one `main` and
 one emitter; the families --count 24 digest, before alpha, beta and gamma
 were computed in closed form; the search --primes 2,3 digest, before the box
-was scanned in integers over one common denominator.  A refactor that
+was scanned in integers over one common denominator; the families --primes 2
+digest, before the three families became one walk.  A refactor that
 changes any byte of a report fails here.
 """
 
@@ -47,6 +48,10 @@ GOLDEN = [
     # A box with S-denominators 1, 2, 3, 4, 6 and 8, over their lcm 24.
     ("search --curve 2,3,1,1 --primes 2,3 --coeff-bound 8", "json",
      "4e66b171ead724832d41a1218c6a604f2db80da167facdee679d36a967dd2cab"),
+    # A yz family whose x^2 = (y^2 - c)/a has denominator 2, admitted by
+    # S = {2}: x = sqrt(2k)/2.
+    ("families --curve 4,2,2,-1 --count 4 --primes 2", "json",
+     "810b4423bc6409d646d67edda221fc937ddb7bea88f2fb73d0edcaf6e2eead31"),
 ]
 
 PELL_CSV_FILE = "8f182ce41ebd00cb72f87151bd5487fb2c356ccbffd999031dbd670182068e21"

@@ -1,4 +1,7 @@
+import functools
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -103,6 +106,70 @@ class TestFamilyYZ:
         for p in enumerate_family_yz(SearchConfig(curve, family_count=5)):
             assert on_curve(curve, p)
             assert verify_identities(curve, p).all_pass()
+
+
+@functools.cache
+def naive_conic_points(A, B, C, bound):
+    """The (s, t) with s >= 0, 0 <= t <= bound and A*s^2 - B*t^2 = C, in
+    ascending t, by testing every t: written independently of the Pell
+    module."""
+    points = []
+    for t in range(bound + 1):
+        r = B * t * t + C
+        if r % A == 0 and r // A >= 0 and isqrt(r // A) ** 2 == r // A:
+            points.append((isqrt(r // A), t))
+    return points
+
+
+def is_s_smooth(n, s_primes):
+    for p in s_primes.primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+# The pair each family walks, read off a canonical point: integral s >= 0
+# and t >= 0 with A*s^2 - B*t^2 = C.
+FAMILY_WALKS = {
+    "xy": (enumerate_family_xy, lambda a, b, c, d: (1, a, c), lambda p: (p.y[0], p.x[0])),
+    "xz": (enumerate_family_xz, lambda a, b, c, d: (1, b, d), lambda p: (p.z[0], p.x[0])),
+    "yz": (
+        enumerate_family_yz,
+        lambda a, b, c, d: (b, a, b * c - a * d),
+        lambda p: (p.y[0], p.z[0]),
+    ),
+}
+
+
+def test_family_walks_match_a_naive_scan():
+    # Each walk must emit, in ascending t, exactly the conic points a scan of
+    # every integral t finds, less (for yz) those whose x^2 = (y^2 - c)/a
+    # is not an S-fraction: up to the last emitted t, or up to a fixed bound
+    # when that is smaller or the walk emitted fewer than family_count
+    # points.  (-2, 2, -2, 3) has a yz point with x^2 = -3/2, dropped for S
+    # without 2.
+    bound, count = 2000, 4
+    walks = 0
+    for a, b, c, d in product((-2, -1, 2, 3, 5), (-1, 2, 3, 5, 7), (-2, -1, 1, 3), (-1, 1, 2, 3)):
+        if a == b or a * d == b * c:
+            continue
+        curve = validate_curve(a, b, c, d)
+        for s_primes in (SPrimeSet.empty(), SPrimeSet.of(2), SPrimeSet.of(2, 3)):
+            cfg = SearchConfig(curve, s_primes, family_count=count)
+            for name, (enumerate_family, conic, pair) in FAMILY_WALKS.items():
+                points = enumerate_family(cfg)
+                walked = [pair(p) for p in points]
+                assert all(on_curve(curve, p) for p in points)
+                assert all(v.denominator == 1 for w in walked for v in w)
+                limit = min(int(walked[-1][1]), bound) if len(walked) == count else bound
+                expected = [
+                    (s, t)
+                    for s, t in naive_conic_points(*conic(a, b, c, d), limit)
+                    if name != "yz" or is_s_smooth(Fraction(s * s - c, a).denominator, s_primes)
+                ]
+                assert [w for w in walked if w[1] <= limit] == expected, (name, curve, s_primes)
+                walks += 1
+    assert walks > 2000
 
 
 class TestBoxSearch:
