@@ -3,22 +3,30 @@
 Thin shell over the library: all algebraic assertions live in the core
 modules, the CLI only encodes results and maps errors to exit codes
 (0 success, 2 domain/usage error, 3 internal invariant failure).
+
+Each command's options are declared once, in `_COMMANDS` and `_COMMON`.
+A config file (`--config`) is a JSON object keyed by flag name with `_`
+for `-`; each value has its flag's JSON type, null only where the default
+is null.  Flags win over it, and its "command" and "config" keys are ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import FAMILY_FLAG, FAMILY_VERDICTS, Verdict, classify, family_image
 from .curve import (
     CurveParams,
+    IdentityReport,
     QuadPoint,
     SPrimeSet,
     compute_bounds,
@@ -35,15 +43,6 @@ from .search import (
     enumerate_family_xz,
     enumerate_family_yz,
     search_exceptional,
-)
-
-_IDENTITY_NAMES = (
-    "linear_fgh",
-    "inverse_fgh",
-    "product_linear",
-    "product_inverse",
-    "unit_sum",
-    "ff_square_ratio",
 )
 
 _INVARIANT_NAMES = ("ff", "gg", "hh", "alpha", "beta", "gamma")
@@ -88,7 +87,7 @@ def _mq_pairs(value) -> list:
     return [[rad, str(co)] for rad, co in value.items()]
 
 
-def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = None) -> dict:
+def _point_record(curve: CurveParams, point: QuadPoint, source: str | None) -> dict:
     cls = classify(curve, point)
     sym = cls.sym
     record = {
@@ -113,14 +112,14 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None = Non
     return record
 
 
-def _check_family_verdict(source: str, expected: Verdict, record: dict):
+def _check_family_verdict(record: dict, expected: Verdict):
     cls = record["classification"]
     verdict = cls["verdict"]
     if verdict in (Verdict.RATIONAL.value, Verdict.K_RATIONAL.value, expected.value):
         return
     if cls["multi_degenerate"] and FAMILY_FLAG[expected] in cls["degenerate_flags"]:
         return
-    raise PanicInvariant(f"{source} emission classified as {verdict}")
+    raise PanicInvariant(f"{record['source']} emission classified as {verdict}")
 
 
 def _flatten_mq(pairs: list) -> str:
@@ -149,9 +148,7 @@ def _result_rows(results: list[dict]):
         yield [
             rec.get("source", ""),
             rec["eps"],
-            rec["x"][0], rec["x"][1],
-            rec["y"][0], rec["y"][1],
-            rec["z"][0], rec["z"][1],
+            *rec["x"], *rec["y"], *rec["z"],
             cls["verdict"],
             ";".join(cls["degenerate_flags"]),
             cls["sign_pattern"] or "",
@@ -190,12 +187,18 @@ def _base_report(command: str, parameters: dict, curve: CurveParams | None) -> d
     return report
 
 
+def _points_report(command: str, parameters: dict, curve: CurveParams, sourced) -> dict:
+    """A report with one record per (source, point) pair of `sourced`, in
+    its order; a None source leaves the record without a source field."""
+    report = _base_report(command, parameters, curve)
+    report["results"] = [_point_record(curve, pt, source) for source, pt in sourced]
+    return report
+
+
 def cmd_pell(args) -> tuple[dict, int]:
     problem = PellProblem(args.D, args.N)
     sols = pell_classes(problem)
-    listed = pell_iterate(sols, args.bound)
-    if args.count is not None:
-        listed = listed[: args.count]
+    listed = pell_iterate(sols, args.bound)[: args.count]
     report = _base_report("pell", {"D": args.D, "N": args.N, "bound": args.bound, "count": args.count}, None)
     report["fundamental"] = list(sols.fundamental) if sols.fundamental else None
     report["class_reps"] = [list(r) for r in sols.class_reps]
@@ -230,24 +233,21 @@ def _generate_points(curve: CurveParams, s_primes: SPrimeSet, count: int) -> lis
     seen = {pt for _, _, points in _families(cfg) for pt in points}
     if len(seen) < count:
         small = SearchConfig(curve, s_primes, coeff_bound=6, eps_bound=13, family_count=1)
-        seen.update(box_search(small))
-        seen.update(search_exceptional(small))
+        seen.update(box_search(small), search_exceptional(small))
     return sorted(seen, key=_point_key)[:count]
 
 
 def cmd_families(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
-    results = []
+    families = []
     if args.count > 0:
-        cfg = SearchConfig(curve, s_primes, family_count=args.count)
-        for source, verdict, points in _families(cfg):
-            for pt in points:
-                record = _point_record(curve, pt, source)
-                _check_family_verdict(source, verdict, record)
-                results.append(record)
-    report = _base_report("families", {"count": args.count}, curve)
-    report["results"] = results
+        families = _families(SearchConfig(curve, s_primes, family_count=args.count))
+    sourced = ((source, pt) for source, _, points in families for pt in points)
+    report = _points_report("families", {"count": args.count}, curve, sourced)
+    expected = {source: verdict for source, verdict, _ in families}
+    for record in report["results"]:
+        _check_family_verdict(record, expected[record["source"]])
     return report, 0
 
 
@@ -257,43 +257,31 @@ def cmd_search(args) -> tuple[dict, int]:
     cfg = SearchConfig(
         curve, s_primes, coeff_bound=args.coeff_bound, eps_bound=args.eps_bound
     )
-    results = [_point_record(curve, pt, "box") for pt in box_search(cfg)]
-    results.extend(
-        _point_record(curve, pt, "exceptional") for pt in search_exceptional(cfg)
-    )
-    report = _base_report(
-        "search",
-        {
-            "eps_bound": args.eps_bound,
-            "coeff_bound": args.coeff_bound,
-            "primes": sorted(s_primes.primes),
-        },
-        curve,
-    )
-    report["results"] = results
-    return report, 0
+    searches = (("box", box_search), ("exceptional", search_exceptional))
+    sourced = ((source, pt) for source, search in searches for pt in search(cfg))
+    parameters = {
+        "eps_bound": args.eps_bound,
+        "coeff_bound": args.coeff_bound,
+        "primes": sorted(s_primes.primes),
+    }
+    return _points_report("search", parameters, curve, sourced), 0
 
 
 def cmd_classify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     point = _parse_point(args.point)
-    record = _point_record(curve, point)
-    report = _base_report("classify", {"point": args.point}, curve)
-    report["results"] = [record]
-    return report, 0
+    return _points_report("classify", {"point": args.point}, curve, [(None, point)]), 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
     points = _generate_points(curve, s_primes, args.count)
-    per_identity = {name: {"pass": 0, "fail": 0} for name in _IDENTITY_NAMES}
-    failures = 0
+    per_identity = {f.name: {"pass": 0, "fail": 0} for f in dataclasses.fields(IdentityReport)}
     for point in points:
-        outcome = verify_identities(curve, point).as_dict()
-        for name, ok in outcome.items():
+        for name, ok in verify_identities(curve, point).as_dict().items():
             per_identity[name]["pass" if ok else "fail"] += 1
-            failures += 0 if ok else 1
+    failures = sum(counts["fail"] for counts in per_identity.values())
     report = _base_report("verify", {"count": args.count}, curve)
     report["identity_summary"] = {
         "points": len(points),
@@ -315,11 +303,35 @@ def cmd_bounds(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--no-timing", action="store_true", default=None)
+class _Option(NamedTuple):
+    kind: type | tuple  # int, str, bool for a switch, or a tuple of the strings allowed
+    default: object = None
+    required: bool = False
+
+
+_CURVE = _Option(str, required=True)
+
+# command -> (help line, function, own options).  Every command takes the
+# _COMMON options after its own; pell also takes D and N, before them.
+_COMMANDS = {
+    "pell": ("solve x^2 - D y^2 = N", cmd_pell, {"bound": _Option(int, 100), "count": _Option(int)}),
+    "families": ("enumerate the three point families", cmd_families,
+                 {"curve": _CURVE, "count": _Option(int, 3), "primes": _Option(str)}),
+    "search": ("exhaustive box and genus-1 locus search", cmd_search,
+               {"curve": _CURVE, "eps_bound": _Option(int, 15), "coeff_bound": _Option(int, 5),
+                "primes": _Option(str)}),
+    "classify": ("classify a single point", cmd_classify,
+                 {"curve": _CURVE, "point": _Option(str, required=True)}),
+    "verify": ("run the exact identity suite", cmd_verify,
+               {"curve": _CURVE, "count": _Option(int, 25), "primes": _Option(str)}),
+    "bounds": ("exact finiteness bounds", cmd_bounds, {"s": _Option(int, 1), "H": _Option(int, 1)}),
+}
+_COMMON = {"format": _Option(("json", "csv"), "json"), "out": _Option(str),
+           "config": _Option(str), "no_timing": _Option(bool, False)}
+
+
+def _options(command: str) -> dict[str, _Option]:
+    return {**_COMMANDS[command][2], **_COMMON}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,49 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate and classify quadratic integral points on double Pell curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pell", help="solve x^2 - D y^2 = N")
-    p.add_argument("D", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_pell)
-
-    p = sub.add_parser("families", help="enumerate the three point families")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--primes", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_families)
-
-    p = sub.add_parser("search", help="exhaustive box and genus-1 locus search")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--eps-bound", type=int, default=None)
-    p.add_argument("--coeff-bound", type=int, default=None)
-    p.add_argument("--primes", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("classify", help="classify a single point")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--point", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run the exact identity suite")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--primes", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bounds", help="exact finiteness bounds")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--H", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
+    for command, (help_line, run, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if command == "pell":
+            p.add_argument("D", type=int)
+            p.add_argument("N", type=int)
+        # Every default is None, so that _apply_config sees which were given.
+        for name, option in _options(command).items():
+            if option.kind is bool:
+                kwargs = {"action": "store_true"}
+            elif isinstance(option.kind, tuple):
+                kwargs = {"choices": option.kind}
+            else:
+                kwargs = {"type": option.kind}
+            help_text = "required" if option.required else f"default: {json.dumps(option.default)}"
+            p.add_argument("--" + name.replace("_", "-"), default=None, help=help_text, **kwargs)
+        p.set_defaults(func=run)
     return parser
 
 
@@ -380,27 +365,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_DEFAULTS = {
-    "pell": {"bound": 100, "count": None},
-    "families": {"curve": None, "count": 3, "primes": None},
-    "search": {"curve": None, "eps_bound": 15, "coeff_bound": 5, "primes": None},
-    "classify": {"curve": None, "point": None},
-    "verify": {"curve": None, "count": 25, "primes": None},
-    "bounds": {"s": 1, "H": 1},
-}
-_COMMON_DEFAULTS = {"format": "json", "out": None, "no_timing": False}
-
-
-# The type of each config value, as its flag parses it; null is accepted
-# only where the default is null.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("bound", "count", "eps_bound", "coeff_bound", "s", "H"), int),
-    **dict.fromkeys(("curve", "primes", "point", "out", "format"), str),
-    "no_timing": bool,
-}
-
-
 def _apply_config(args: argparse.Namespace) -> None:
+    """Set each option not given as a flag from the config file, else to
+    its default; every key is checked, in file order, before any is set."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -410,30 +377,23 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise DomainError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise DomainError("config file must hold a JSON object")
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_DEFAULTS.get(args.command, {}))
-    known = set(defaults) | {"command", "config"}
-    unknown = set(config) - known
+    options = _options(args.command)
+    unknown = set(config) - set(options) - {"command"}
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None or (value is None and defaults[key] is None):
+        option = options.get(key)
+        if key in ("command", "config") or (value is None and option.default is None):
             continue
-        if type(value) is not kind or (key == "format" and value not in ("json", "csv")):
-            expected = '"json" or "csv"' if key == "format" else kind.__name__
+        if isinstance(option.kind, tuple):  # a choice of strings
+            ok, expected = value in option.kind, " or ".join(map(json.dumps, option.kind))
+        else:
+            ok, expected = type(value) is option.kind, option.kind.__name__
+        if not ok:
             raise DomainError(f"config value for {key!r} must be {expected}, got {value!r}")
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, fallback))
-
-
-_REQUIRED = {
-    "families": ("curve",),
-    "search": ("curve",),
-    "classify": ("curve", "point"),
-    "verify": ("curve",),
-}
+    for key, option in options.items():
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, option.default))
 
 
 def main(argv=None) -> int:
@@ -441,8 +401,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _apply_config(args)
-        for key in _REQUIRED.get(args.command, ()):
-            if getattr(args, key) is None:
+        for key, option in _options(args.command).items():
+            if option.required and getattr(args, key) is None:
                 raise DomainError(f"--{key} is required for {args.command}")
         if getattr(args, "count", None) is not None and args.count < 0:
             raise DomainError(f"--count must be nonnegative, got {args.count}")
@@ -455,10 +415,7 @@ def main(argv=None) -> int:
     except PanicInvariant as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

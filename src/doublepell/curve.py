@@ -9,7 +9,7 @@ identity checks tying all of them together.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -292,14 +292,7 @@ class IdentityReport:
         return all(self.as_dict().values())
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "linear_fgh": self.linear_fgh,
-            "inverse_fgh": self.inverse_fgh,
-            "product_linear": self.product_linear,
-            "product_inverse": self.product_inverse,
-            "unit_sum": self.unit_sum,
-            "ff_square_ratio": self.ff_square_ratio,
-        }
+        return asdict(self)
 
 
 def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:

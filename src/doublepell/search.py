@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 from .classify import classify, exceptional_eps_candidates
 from .curve import (
@@ -37,7 +37,7 @@ from .curve import (
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
-from .exactmath import isqrt_exact, squarefree_decompose
+from .exactmath import isqrt_exact
 from .pell import _conic_stream
 
 # The family walk stops when t passes this cap, so a family with no further
@@ -68,14 +68,12 @@ class SUnitSolution:
 
 
 def _squarefree_eps_range(limit: int) -> list[int]:
-    out = []
-    for eps in range(-limit, limit + 1):
-        if eps == 0:
-            continue
-        _, sf = squarefree_decompose(eps)
-        if sf == eps:
-            out.append(eps)
-    return out
+    """The nonzero squarefree integers in [-limit, limit], found without
+    factoring: no p*p with p <= isqrt(|e|) divides e."""
+    return [
+        e for e in range(-limit, limit + 1)
+        if e and all(e % (p * p) for p in range(2, isqrt(abs(e)) + 1))
+    ]
 
 
 def _point_key(p: QuadPoint):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from doublepell.cli import main
+from doublepell.cli import _COMMANDS, _options, main
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +19,19 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# A small run of each command, with its required options given as flags.
+_SMALL_RUNS = {
+    "pell": ("pell", "2", "1"),
+    "families": ("families", "--curve", "2,3,1,1"),
+    "search": ("search", "--curve", "2,3,1,1"),
+    "classify": ("classify", "--curve", "2,3,1,1", "--point", "13;2,0;3,0;0,1"),
+    "verify": ("verify", "--curve", "2,3,1,1"),
+    "bounds": ("bounds",),
+}
+assert set(_SMALL_RUNS) == set(_COMMANDS)
+_TABLE_OPTIONS = [(command, name) for command in _COMMANDS for name in _options(command)]
 
 
 class TestPellCommand:
@@ -382,6 +395,43 @@ class TestPlumbing:
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == 2 and out == ""
         assert "config value for" in err
+
+    @pytest.mark.parametrize("command, name", _TABLE_OPTIONS)
+    def test_config_set_to_the_default_changes_nothing(self, capsys, tmp_path, command, name):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: _options(command)[name].default}))
+        argv = (*_SMALL_RUNS[command], "--no-timing")
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--config", str(path)) == plain
+
+    @pytest.mark.parametrize(
+        "command, name", [option for option in _TABLE_OPTIONS if option[1] != "config"]
+    )
+    def test_config_value_of_wrong_json_type_exits_2(self, capsys, tmp_path, command, name):
+        # A number where a string or a choice of strings is due, a string
+        # where a number, a number where a switch.
+        wrong = {int: "1", bool: 1}.get(_options(command)[name].kind, 1)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: wrong}))
+        code, out, err = run_cli(capsys, *_SMALL_RUNS[command], "--config", str(path))
+        assert code == 2 and out == ""
+        assert "config value for" in err
+
+    def test_command_and_config_keys_are_ignored(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": 5, "config": [1], "curve": "2,3,1,1"}))
+        configured = run_cli(capsys, "families", "--config", str(path), "--no-timing")
+        assert configured == run_cli(capsys, "families", "--curve", "2,3,1,1", "--no-timing")
+
+    def test_help_shows_defaults_and_required_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["families", "--help"])
+        assert exit_info.value.code == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert "default: 3" in next(line for line in lines if line.startswith("--count"))
+        assert "required" in next(line for line in lines if line.startswith("--curve"))
 
     @pytest.mark.parametrize("content", [b'{"curve": "2,3,1,1",', b'{"curve": "\xff"}'])
     def test_malformed_config_exits_2(self, capsys, tmp_path, content):

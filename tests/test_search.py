@@ -29,7 +29,9 @@ from doublepell.search import (
     PASSED,
     SKIPPED_IRRATIONAL,
     _s_unit_exponents,
+    _squarefree_eps_range,
 )
+from doublepell.exactmath import squarefree_decompose
 
 
 @pytest.fixture
@@ -268,6 +270,20 @@ def naive_box_oracle(curve, eps_bound, coeff_bound, s_primes=SPrimeSet.empty()):
                         point = QuadPoint.make(eps, (ux, vx), y_pair, z_pair)
                         hits.add(canonical_representative(point))
     return hits
+
+
+def test_squarefree_eps_range_matches_the_decomposition():
+    squarefree = [e for e in range(-299, 300) if e and squarefree_decompose(e)[1] == e]
+    for limit in range(300):
+        expected = [e for e in squarefree if abs(e) <= limit]
+        assert _squarefree_eps_range(limit) == expected, limit
+
+
+def test_squarefree_eps_range_factors_nothing(count_calls):
+    counts = {"factorize": 0}
+    count_calls(counts, "doublepell.exactmath", "factorize")
+    assert len(_squarefree_eps_range(200)) > 0
+    assert counts == {"factorize": 0}
 
 
 def test_box_matches_naive_oracle_small():
