@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .classify import FAMILY_FLAG, FAMILY_VERDICTS, Verdict, classify, family_image
@@ -158,6 +159,51 @@ def _result_rows(results: list[dict]):
         ]
 
 
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), faster: json runs its C encoder only
+    when indent is None, so _json_chunks lays the text out itself and
+    leaves strings to json's C escaper."""
+    out: list[str] = []
+    _json_chunks(value, "\n", out)
+    return "".join(out)
+
+
+def _json_chunks(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of value to out, for the types a report holds:
+    dicts with str keys, lists, str, int, bool, None and float.  `indent`
+    is the newline and spaces that open a line at the depth of value."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif not value and isinstance(value, (list, dict)):
+        out.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, list):
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args) -> None:
     """Write the report in the chosen format.  CSV holds one row per point
     result, one per Pell solution, or one per summary field otherwise."""
@@ -172,7 +218,7 @@ def _emit(report: dict, args) -> None:
             if key not in ("command", "parameters", "curve", "timing")
         )
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

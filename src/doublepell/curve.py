@@ -102,8 +102,10 @@ class QuadPoint:
     """A point (x, y, z) with coordinates u + v*sqrt(eps), u, v rational.
 
     eps is squarefree; eps = 1 encodes rational points (all v = 0).
-    make() is the one validating constructor; the raw constructor makes only
-    structural checks and trusts eps to be squarefree, as later steps do.
+    make() is the one validating constructor; _of_squarefree() is make()
+    without the factoring, for an eps already known to be squarefree; the
+    raw constructor makes only structural checks and trusts eps to be
+    squarefree, as later steps do.
     """
 
     eps: int
@@ -131,15 +133,22 @@ class QuadPoint:
         if eps == 0:
             raise DomainError("eps must be nonzero")
         s, sf = squarefree_decompose(eps)
+        return cls._of_squarefree(sf, *((u, v * s) for u, v in (x, y, z)))
+
+    @classmethod
+    def _of_squarefree(cls, eps: int, x, y, z) -> "QuadPoint":
+        """make() for an eps already known to be squarefree, as a search
+        that scans squarefree radicands has: collapse to eps = 1 when every
+        radical part vanishes."""
         zero = Fraction(0)
-        if sf == 1:
-            coords = [(Fraction(u + v * s), zero) for u, v in (x, y, z)]
+        if eps == 1:
+            coords = [(Fraction(u + v), zero) for u, v in (x, y, z)]
         else:
-            coords = [(Fraction(u), Fraction(v * s)) for u, v in (x, y, z)]
+            coords = [(Fraction(u), Fraction(v)) for u, v in (x, y, z)]
             if not any(v for _, v in coords):
-                sf = 1
+                eps = 1
                 coords = [(u, zero) for u, _ in coords]
-        return cls(sf, *coords)
+        return cls(eps, *coords)
 
     @classmethod
     def rational(cls, x, y, z) -> "QuadPoint":

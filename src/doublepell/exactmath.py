@@ -23,9 +23,10 @@ from .errors import DivisionByZero, DomainError
 Coefficient = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10_000
-# Deterministic Miller-Rabin bases, valid for n < 3.3e24; inputs here stay
-# far below that in practice.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial primes go in blocks of this many, one gcd per block.
+_TRIAL_BLOCK = 32
+# Brent's rho takes one gcd per this many steps.
+_RHO_BATCH = 64
 
 
 def _primes_upto(limit: int) -> tuple[int, ...]:
@@ -39,75 +40,168 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
 
 
 _TRIAL_PRIMES = _primes_upto(_TRIAL_LIMIT)
+# (square of the first prime, primes, their product) per block.
+_TRIAL_BLOCKS = tuple(
+    (block[0] ** 2, block, math.prod(block))
+    for block in (
+        _TRIAL_PRIMES[i : i + _TRIAL_BLOCK]
+        for i in range(0, len(_TRIAL_PRIMES), _TRIAL_BLOCK)
+    )
+)
+# The primes below 100, which _is_probable_prime divides by first.
+_SMALL_PRIMES = _TRIAL_PRIMES[:25]
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: a strong base-2 Fermat test, then a strong Lucas test
+    with Selfridge's parameters (R. Baillie and S. S. Wagstaff, "Lucas
+    pseudoprimes", Math. Comp. 35, 1980).
+
+    Proven correct for n < 2^64; no composite above that is known to pass.
+    """
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
+    # Strong base-2 test: n - 1 = d * 2^s with d odd.
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    x = pow(2, d, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    # Selfridge: the first D of 5, -7, 9, -11, ... with (D/n) = -1.  A
+    # square n has none; (D/n) = 0 with D not a multiple of n shows a
+    # proper factor.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # Strong Lucas test with P = 1: n + 1 = d * 2^s with d odd; n passes
+    # when U_d = 0 or V_(d*2^r) = 0 for some 0 <= r < s.  U, V and Q^k are
+    # carried mod n from k = 1 along the bits of d; halving mod odd n adds
+    # n to an odd value first.
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n."""
+    """One nontrivial factor of an odd composite n, by Brent's variant of
+    Pollard's rho (R. P. Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 20, 1980): the walk y -> y^2 + c runs in doubling
+    stretches, and one gcd covers the product of _RHO_BATCH differences.
+    A batch whose gcd is n is walked again one step at a time; a walk that
+    still finds n alone restarts with the next c."""
     c = 1
     while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
         c += 1
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, as {prime: exponent}.
 
-    Trial division by the primes up to a fixed limit, then Pollard rho on
-    what remains.
+    Trial division by the primes up to _TRIAL_LIMIT, a block of them at a
+    time: one gcd with the block's product, and division only by the primes
+    of a block that shares a factor.  It stops at the first block whose
+    least prime squared exceeds what remains, which is then 1 or a prime,
+    as is any remainder below _TRIAL_LIMIT^2.  A larger remainder is split
+    by Brent's rho until each part passes the Baillie-PSW test, which is
+    proven below 2^64 and has no known counterexample above it.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
+    for first_square, block, product in _TRIAL_BLOCKS:
+        if first_square > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                n //= p
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += (d, m // d)
     return out
 
 

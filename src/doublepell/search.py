@@ -16,7 +16,7 @@ integer up to coeff_bound, so both searches work over the common
 denominator L = lcm(q): the coordinate is the integer n*(L/q), and box
 membership is one lookup in the set of those integers.  The box scan runs
 in int from the square tests to the box lookups; a Fraction is built only
-for a candidate that passed them, on its way to QuadPoint.make.
+for a candidate that passed them.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ def _box_roots(r: int, i: int, eps: int, box: frozenset[int]) -> list[tuple[int,
     """
     if i == 0:
         # U*W = 0: U^2 = r, or eps*W^2 = r.  Over eps = 1 both (u, 0) and
-        # (0, u) come back; make() folds them into one rational point, and
-        # _collect drops the repeat.
+        # (0, u) come back; QuadPoint._of_squarefree folds them into one
+        # rational point, and _collect drops the repeat.
         roots = {(_box_sqrt(r, 1, box), 0), (0, _box_sqrt(r, eps, box))}
         return [root for root in roots if None not in root]
     s = isqrt_exact(r * r - eps * i * i)
@@ -241,7 +241,7 @@ def _box_candidates(cfg: SearchConfig):
                 zs = _box_roots(b * rx + dL2, b * ix, eps, box)
                 for y_pair in ys:
                     for z_pair in zs:
-                        yield QuadPoint.make(eps, scaled((X, V)), scaled(y_pair), scaled(z_pair))
+                        yield QuadPoint._of_squarefree(eps, scaled((X, V)), scaled(y_pair), scaled(z_pair))
 
 
 def _square_scan(m: int, k: int, bound: int):
@@ -287,15 +287,15 @@ def _exceptional_candidates(cfg: SearchConfig):
         for t, r in _square_scan(a * eps, c * eps, bound):
             u = r // eps
             if abs(u) <= bound and (v := companion(eps, b * t * t + d)) is not None:
-                yield QuadPoint.make(eps, (t, 0), (0, u), (0, v))
+                yield QuadPoint._of_squarefree(eps, (t, 0), (0, u), (0, v))
         # y rational: t^2 = a*eps*u^2 + c, companion eps*v^2 = b*eps*u^2 + d.
         for u, t in _square_scan(a * eps, c, bound):
             if t <= bound and (v := companion(eps, b * eps * u * u + d)) is not None:
-                yield QuadPoint.make(eps, (0, u), (t, 0), (0, v))
+                yield QuadPoint._of_squarefree(eps, (0, u), (t, 0), (0, v))
         # z rational: t^2 = b*eps*u^2 + d, companion eps*v^2 = a*eps*u^2 + c.
         for u, t in _square_scan(b * eps, d, bound):
             if t <= bound and (v := companion(eps, a * eps * u * u + c)) is not None:
-                yield QuadPoint.make(eps, (0, u), (0, v), (t, 0))
+                yield QuadPoint._of_squarefree(eps, (0, u), (0, v), (t, 0))
 
 
 def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:

@@ -3,10 +3,14 @@ import dataclasses
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from doublepell.cli import _COMMANDS, _options, main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doublepell.cli import _COMMANDS, _json_text, _options, main
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +107,17 @@ class TestFamiliesCommand:
     def test_degenerate_curve_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "families", "--curve", "1,1,1,1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        # psi_12, a strong pseudoprime to the 12 prime bases up to 37.
+        "primes", ["4", "318665857834031151167461"]
+    )
+    def test_composite_prime_exits_2(self, capsys, primes):
+        code, out, err = run_cli(
+            capsys, "families", "--curve", "2,3,1,1", "--primes", primes, "--count", "1"
+        )
+        assert code == 2 and out == ""
+        assert f"{primes} is not prime" in err
 
     def test_csv_and_json_carry_same_data(self, capsys):
         json_report = run_json(
@@ -604,4 +619,36 @@ class TestWorkPerPoint:
         )
         records = len(report["results"])
         assert records == 60
-        assert counts["factorize"] <= records + 4
+        # At least one call per record: a layer that split radicands
+        # without calling factorize by its module name would hide its time
+        # from the exactmath.factorize spans.
+        assert records <= counts["factorize"] <= records + 4
+
+
+_JSON_SCALARS = (
+    st.text()
+    | st.text(alphabet='"\\/\x00\x01\x1f\x7f\u00e9\u2028\ud800\U0001f600 ab\n\t')
+    | st.integers()
+    | st.integers(min_value=10**40, max_value=10**200)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        json.dumps({"value": Fraction(1, 2)}, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"value": Fraction(1, 2)})

@@ -5,15 +5,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_factoring import (
+    miller_rabin,
+    primes_below,
+    reference_factorize,
+    trial_division_factorize,
+)
 
 from doublepell import (
     DivisionByZero,
     DomainError,
     MultiQuad,
+    QuadPoint,
+    SearchConfig,
+    enumerate_family_xy,
+    enumerate_family_xz,
+    enumerate_family_yz,
     exactmath,
     factorize,
     squarefree_decompose,
+    validate_curve,
 )
+from doublepell.exactmath import _is_probable_prime
 
 
 def trial_division_squarefree(n):
@@ -75,6 +88,108 @@ def test_factorize_reassembles():
         for p, e in factorize(n).items():
             total *= p**e
         assert total == n
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases, each a product of two primes.
+PSI_12 = (399165290221, 798330580441)
+PSI_13 = (1287836182261, 2575672364521)
+
+
+class TestFactoringLayer:
+    def test_primality_agrees_with_a_sieve_below_10_5(self):
+        primes = set(primes_below(10**5))
+        assert [n for n in range(10**5) if _is_probable_prime(n) != (n in primes)] == []
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for p, q in (PSI_12, PSI_13):
+            assert miller_rabin(p) and miller_rabin(q)
+            assert _is_probable_prime(p) and _is_probable_prime(q)
+            assert not _is_probable_prime(p * q)
+        # Strong pseudoprimes to base 2, and Lucas pseudoprimes.
+        for n in (2047, 3277, 4033, 4681, 8321, 5459, 5777, 10877, 3215031751):
+            assert not _is_probable_prime(n)
+        # Mersenne primes past 2^64, where no Baillie-PSW proof holds.
+        for e in (89, 107, 127):
+            assert _is_probable_prime(2**e - 1)
+
+    def test_strong_pseudoprime_is_factored(self):
+        p, q = PSI_12
+        assert factorize(p * q) == {p: 1, q: 1}
+
+    def test_square_part_of_a_strong_pseudoprime_is_found(self):
+        p, q = PSI_12
+        assert squarefree_decompose(-p * p * q) == (p, -q)
+
+    def test_point_over_a_strong_pseudoprime_gets_a_squarefree_eps(self):
+        p, q = PSI_12
+        point = QuadPoint.make(p * p * q, (1, 0), (0, 1), (2, 3))
+        assert point.eps == q
+        assert point.y == (0, p) and point.z == (2, 3 * p)
+
+    def test_family_radicands_match_the_reference(self, monkeypatch):
+        # Every radicand the three family walks factor, up to 38 digits.
+        # (7,6,1,2) stops at 16 points: its 17th xy radicand holds a
+        # 35-digit cofactor whose least prime rho cannot reach.
+        seen = {}
+
+        def recording(n):
+            seen[n] = factorize(n)
+            return seen[n]
+
+        monkeypatch.setattr(exactmath, "factorize", recording)
+        for params, count in (((2, 3, 1, 1), 20), ((3, 2, -2, 1), 20), ((7, 6, 1, 2), 16)):
+            cfg = SearchConfig(validate_curve(*params), family_count=count)
+            for enumerate_family in (enumerate_family_xy, enumerate_family_xz, enumerate_family_yz):
+                enumerate_family(cfg)
+        assert len(seen) > 100
+        assert max(len(str(abs(n))) for n in seen) == 38
+        for n, factors in seen.items():
+            assert factors == reference_factorize(n), n
+
+    def test_random_values_below_10_12_match_trial_division(self):
+        primes = primes_below(10**6 + 1)
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randrange(1, 10**12)
+            assert factorize(n) == trial_division_factorize(n, primes), n
+        for n in (10**12 - 11, 999983 * 999979, 9973**3, 10007**2, 2**39):
+            assert factorize(n) == trial_division_factorize(n, primes), n
+
+    def test_products_of_two_primes(self):
+        rng = random.Random(5)
+        pairs = [(28110398770513, 71751541), (169049663943243481, 6976873)]
+        while len(pairs) < 12:
+            small = rng.randrange(10**4, 10**8)
+            large = rng.randrange(10**5, 10**17)
+            if miller_rabin(small) and miller_rabin(large) and 10 <= len(str(small * large)) <= 25:
+                pairs.append((small, large))
+        for p, q in pairs:
+            assert factorize(p * q) == {p: 1, q: 1}
+
+
+_KNOWN_PRIMES = (2, 3, 5, 7, 9973, 10007, 1000003, 9999991)
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**18), 10**18).filter(bool))
+def test_factors_multiply_back_and_are_prime(n):
+    total = 1
+    for p, e in factorize(n).items():
+        assert e >= 1 and _is_probable_prime(p)
+        total *= p**e
+    assert total == abs(n)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.sets(st.sampled_from(_KNOWN_PRIMES), max_size=4),
+    st.sampled_from((1, -1)),
+)
+def test_square_part_is_split_from_distinct_primes(s, primes, sign):
+    d = sign * math.prod(primes)
+    assert squarefree_decompose(s * s * d) == (s, d)
 
 
 class TestBasicAlgebra:

@@ -10,6 +10,7 @@ changes any byte of a report fails here.
 """
 
 import hashlib
+import json
 import shlex
 
 import pytest
@@ -77,7 +78,11 @@ def _golden_ids(cases) -> list[str]:
 def test_readme_example_output_unchanged(capsys, command, fmt, digest):
     code = main([*shlex.split(command), "--format", fmt, "--no-timing"])
     assert code == 0
-    assert _sha256(capsys.readouterr().out.encode()) == digest
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == digest
+    if fmt == "json":
+        # The emitter lays out JSON itself; json.dumps is its oracle.
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_pell_csv_file_unchanged(capsys, tmp_path):

@@ -28,6 +28,8 @@ from doublepell.search import (
     FAILED_MISSING,
     PASSED,
     SKIPPED_IRRATIONAL,
+    _box_candidates,
+    _exceptional_candidates,
     _s_unit_exponents,
     _squarefree_eps_range,
 )
@@ -284,6 +286,21 @@ def test_squarefree_eps_range_factors_nothing(count_calls):
     count_calls(counts, "doublepell.exactmath", "factorize")
     assert len(_squarefree_eps_range(200)) > 0
     assert counts == {"factorize": 0}
+
+
+def test_candidates_are_not_factored_again(count_calls):
+    # Both scans take eps from squarefree lists, the box from
+    # _squarefree_eps_range and the genus-1 hunt from products of distinct
+    # primes, so neither factors a candidate's eps; the hunt's one call
+    # factors bc - ad for those primes.
+    counts = {"factorize": 0}
+    count_calls(counts, "doublepell.exactmath", "factorize")
+    box = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(2, 3), coeff_bound=8)
+    assert len(list(_box_candidates(box))) == 29
+    assert counts == {"factorize": 0}
+    hunt = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=5)
+    assert list(_exceptional_candidates(hunt))
+    assert counts == {"factorize": 1}
 
 
 def test_box_matches_naive_oracle_small():
