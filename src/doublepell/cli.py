@@ -31,10 +31,12 @@ from .curve import (
     QuadPoint,
     SPrimeSet,
     compute_bounds,
+    on_curve,
     validate_curve,
     verify_identities,
 )
-from .errors import DomainError, PanicInvariant
+from .errors import DomainError, OffCurve, PanicInvariant
+from .exactmath import isqrt_exact
 from .pell import PellProblem, pell_classes, pell_iterate
 from .search import (
     SearchConfig,
@@ -69,7 +71,7 @@ def _parse_primes(text: str | None) -> SPrimeSet:
     return SPrimeSet(primes)
 
 
-def _parse_point(text: str) -> QuadPoint:
+def _parse_point(text: str, curve: CurveParams) -> QuadPoint:
     chunks = text.split(";")
     if len(chunks) != 4:
         raise DomainError("point must be 'eps;ux,vx;uy,vy;uz,vz'")
@@ -81,6 +83,12 @@ def _parse_point(text: str) -> QuadPoint:
             coords.append((Fraction(u_txt), Fraction(v_txt)))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad point literal {text!r}: {exc}") from exc
+    root = isqrt_exact(eps)
+    if root:  # eps = root^2 folds into the rational part
+        return QuadPoint._of_squarefree(1, *((u, v * root) for u, v in coords))
+    # sqrt(eps) is irrational, so on_curve is exact before make() factors eps.
+    if eps and not on_curve(curve, unfolded := QuadPoint._of_squarefree(eps, *coords)):
+        raise OffCurve(f"{unfolded} is not on {curve}")
     return QuadPoint.make(eps, *coords)
 
 
@@ -315,7 +323,7 @@ def cmd_search(args) -> tuple[dict, int]:
 
 def cmd_classify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
-    point = _parse_point(args.point)
+    point = _parse_point(args.point, curve)
     return _points_report("classify", {"point": args.point}, curve, [(None, point)]), 0
 
 

@@ -423,22 +423,14 @@ def pair_key(point: QuadPoint):
     return (point.eps,) + tuple(sorted((k1, k2)))
 
 
-def _strip_primes(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
-    """The exponents in the nonzero n of the `primes` that divide it, and
-    the cofactor of |n| left when they are divided out.  No factoring."""
-    if n == 0:
-        raise DomainError("0 has no cofactor")
-    n, exponents = abs(n), {}
+def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
+    """True when the denominator of q is supported on `primes`: dividing
+    them out leaves 1.  No factoring."""
+    n = q.denominator
     for p in primes:
         while n % p == 0:
             n //= p
-            exponents[p] = exponents.get(p, 0) + 1
-    return exponents, n
-
-
-def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
-    """True when the denominator of q is supported on `primes`."""
-    return _strip_primes(q.denominator, primes)[1] == 1
+    return n == 1
 
 
 def is_s_integral(point: QuadPoint, primes: Iterable[int]) -> bool:

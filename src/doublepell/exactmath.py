@@ -441,15 +441,6 @@ class MultiQuad:
                 key = g
         return key
 
-    def conjugate_under(self, p: int) -> "MultiQuad":
-        """Negate every term whose radicand p divides; an involution.
-
-        p = -1 means complex conjugation: terms with negative radicand flip.
-        """
-        if p != -1 and not _is_probable_prime(p):
-            raise DomainError("conjugation key must be a prime or -1")
-        return self._flip(p)
-
     def _flip(self, key: int) -> "MultiQuad":
         """Negate the terms whose radicand is negative (key = -1) or that key
         divides."""

@@ -94,12 +94,6 @@ def pell_fundamental(D: int) -> tuple[int, int]:
     return p, q
 
 
-def pell_compose(p: tuple[int, int], q: tuple[int, int], D: int) -> tuple[int, int]:
-    """Brahmagupta composition; norms multiply."""
-    (x1, y1), (x2, y2) = p, q
-    return x1 * x2 + D * y1 * y2, x1 * y2 + y1 * x2
-
-
 def _branches(sols: PellSolutionSet, ymax: int) -> list:
     """The nonnegative solutions (x, y) of sols.problem with y <= ymax, as a
     few lazy branches, each strictly ascending in y and each element checked
@@ -123,7 +117,7 @@ def _branches(sols: PellSolutionSet, ymax: int) -> list:
         return [[check(x, y) for x, y in pairs if y <= ymax]]
     x1, y1 = sols.fundamental
 
-    # pell_compose with the unit, inlined: this is pell_iterate's inner loop.
+    # Brahmagupta composition with the unit: this is pell_iterate's inner loop.
     def branch(x, y):
         while x < 0 or y < 0:
             x, y = x * x1 + D * y * y1, x * y1 + y * x1

@@ -6,10 +6,8 @@ that is the square root of an S-integer in s and t; one walk along the
 conic's lazy Pell stream enumerates each of the three families.
 
 box_search is an exhaustive independent oracle over a finite coefficient
-box; the genus-1 locus hunt scans each shape straight over that box,
-O(coeff_bound) square tests per shape and admissible radicand; and the
-unit-equation enumerator cross-checks the invariant triples of
-rational-valued points.
+box, and the genus-1 locus hunt scans each shape straight over that box,
+O(coeff_bound) square tests per shape and admissible radicand.
 
 Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
 integer up to coeff_bound, so both searches work over the common
@@ -26,13 +24,12 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
-from .classify import classify, exceptional_eps_candidates
+from .classify import exceptional_eps_candidates
 from .curve import (
     CurveParams,
     QuadPoint,
     SPrimeSet,
     _is_s_fraction,
-    _strip_primes,
     canonical_representative,
     on_curve,
 )
@@ -312,90 +309,12 @@ def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:
         units.add(value)
         units.add(-value)
     ordered = sorted(units)
-    unit_set = set(ordered)
     solutions = []
     for x1 in ordered:
         for x2 in ordered:
             x3 = 1 - x1 - x2
-            if x3 in unit_set:
+            if x3 in units:
                 triple = (x1, x2, x3)
                 solutions.append(SUnitSolution(triple, degenerate=1 in triple))
     solutions.sort(key=lambda sol: sol.triple)
     return solutions
-
-
-PASSED = "passed"
-SKIPPED_IRRATIONAL = "skipped_irrational"
-SKIPPED_EXPONENT = "skipped_exponent"
-FAILED_NOT_S_UNIT = "failed_not_s_unit"
-FAILED_MISSING = "failed_missing"
-FAILED_FLAG_MISMATCH = "failed_flag_mismatch"
-
-
-@dataclass(frozen=True)
-class SUnitCheckEntry:
-    point: QuadPoint
-    status: str
-    triple: tuple[Fraction, Fraction, Fraction] | None = None
-
-
-@dataclass(frozen=True)
-class SUnitCheckReport:
-    entries: tuple[SUnitCheckEntry, ...]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for entry in self.entries:
-            out[entry.status] = out.get(entry.status, 0) + 1
-        return out
-
-    def failures(self) -> list[SUnitCheckEntry]:
-        return [e for e in self.entries if e.status.startswith("failed")]
-
-
-def _s_unit_exponents(q: Fraction, primes) -> dict[int, int] | None:
-    """Exponent vector of the nonzero q over `primes`, or None if q is not an
-    S-unit."""
-    up, num_rest = _strip_primes(q.numerator, primes)
-    down, den_rest = _strip_primes(q.denominator, primes)
-    if num_rest != 1 or den_rest != 1:
-        return None
-    return {**up, **{p: -e for p, e in down.items()}}
-
-
-def cross_check_sunit(
-    cfg: SearchConfig, points, exp_bound: int
-) -> SUnitCheckReport:
-    """Verify that rational-valued invariant triples land in the unit-equation
-    enumeration and that their degeneracy matches the classifier.
-
-    Points whose triple is irrational (the generic case over Q) or whose
-    exponents exceed the bound are reported as skipped, not failed.
-    """
-    curve = cfg.curve
-    primes = set(cfg.s_primes.primes)
-    enumerated = None
-    entries = []
-    for point in points:
-        cls = classify(curve, point)
-        values = (cls.sym.alpha, cls.sym.beta, cls.sym.gamma)
-        if not all(v.is_rational() for v in values):
-            entries.append(SUnitCheckEntry(point, SKIPPED_IRRATIONAL))
-            continue
-        triple = tuple(v.rational_value() for v in values)
-        if (1 in triple) != bool(cls.degenerate_flags):
-            entries.append(SUnitCheckEntry(point, FAILED_FLAG_MISMATCH, triple))
-            continue
-        exponents = [_s_unit_exponents(t, primes) for t in triple]
-        if any(e is None for e in exponents):
-            entries.append(SUnitCheckEntry(point, FAILED_NOT_S_UNIT, triple))
-            continue
-        largest = max((abs(e) for vec in exponents for e in vec.values()), default=0)
-        if largest > exp_bound:
-            entries.append(SUnitCheckEntry(point, SKIPPED_EXPONENT, triple))
-            continue
-        if enumerated is None:
-            enumerated = {sol.triple for sol in sunit_solutions(cfg.s_primes, exp_bound)}
-        status = PASSED if triple in enumerated else FAILED_MISSING
-        entries.append(SUnitCheckEntry(point, status, triple))
-    return SUnitCheckReport(tuple(entries))

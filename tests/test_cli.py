@@ -210,6 +210,30 @@ class TestClassifyCommand:
         )
         assert code == 2 and "not on" in err
 
+    # The product of the primes 10^17 + 3 and 10^18 + 3, which factoring
+    # does not split in seconds.
+    HARD_SEMIPRIME = 100000000000000003 * 1000000000000000003
+
+    def test_off_curve_point_is_refused_before_eps_is_factored(self, capsys, deadline):
+        with deadline(2):
+            code, _, err = run_cli(
+                capsys, "classify", "--curve", "2,3,1,1",
+                "--point", f"{self.HARD_SEMIPRIME};0,1;1,0;1,0",
+            )
+        assert code == 2 and "not on" in err
+
+    def test_square_eps_folds_without_factoring(self, capsys, deadline):
+        # y = (1/N)*sqrt(N^2) = 1, so the point is the rational (0, 1, 1).
+        n = self.HARD_SEMIPRIME
+        with deadline(2):
+            report = run_json(
+                capsys,
+                "classify", "--curve", "2,3,1,1",
+                "--point", f"{n * n};0,0;0,1/{n};1,0", "--no-timing",
+            )
+        record = report["results"][0]
+        assert record["eps"] == 1 and record["y"] == ["1", "0"]
+
     def test_fraction_literals(self, capsys):
         report = run_json(
             capsys,

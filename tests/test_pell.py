@@ -8,7 +8,6 @@ from doublepell import (
     PellProblem,
     cf_sqrt,
     pell_classes,
-    pell_compose,
     pell_fundamental,
     pell_iterate,
     solve_conic,
@@ -102,27 +101,6 @@ class TestFundamental:
             for y in range(1, y1):
                 x2 = 1 + D * y * y
                 assert isqrt(x2) ** 2 != x2
-
-
-class TestCompose:
-    def test_example(self):
-        assert pell_compose((3, 2), (3, 2), 2) == (17, 12)
-        assert 17 * 17 - 2 * 12 * 12 == 1
-
-    def test_identity(self):
-        assert pell_compose((5, 4), (1, 0), 7) == (5, 4)
-
-    def test_norm_multiplies(self):
-        assert pell_compose((3, 1), (5, 2), 6) == (27, 11)
-        assert 27 * 27 - 6 * 11 * 11 == 3
-
-    def test_closure_on_units(self):
-        sols = pell_iterate(pell_classes(PellProblem(3, 1)), 100)
-        units = [(x, y) for x, y in sols if x > 0]
-        for p in units[:5]:
-            for q in units[:5]:
-                x, y = pell_compose(p, q, 3)
-                assert x * x - 3 * y * y == 1
 
 
 class TestClasses:

@@ -13,7 +13,6 @@ from doublepell import (
     Verdict,
     box_search,
     classify,
-    cross_check_sunit,
     enumerate_family_xy,
     enumerate_family_xz,
     enumerate_family_yz,
@@ -24,13 +23,8 @@ from doublepell import (
     verify_identities,
 )
 from doublepell.search import (
-    FAILED_FLAG_MISMATCH,
-    FAILED_MISSING,
-    PASSED,
-    SKIPPED_IRRATIONAL,
     _box_candidates,
     _exceptional_candidates,
-    _s_unit_exponents,
     _squarefree_eps_range,
 )
 from doublepell.exactmath import squarefree_decompose
@@ -504,57 +498,6 @@ class TestSUnitSolutions:
     def test_rejects_bad_bound(self):
         with pytest.raises(DomainError):
             sunit_solutions(SPrimeSet.of(2), 0)
-
-
-class TestCrossCheckSUnit:
-    def test_rational_triple_passes(self):
-        square_curve = validate_curve(4, 9, -3, 32)
-        point = QuadPoint.make(5, (1, 1), (4, 1), (9, 1))
-        cfg = SearchConfig(square_curve, SPrimeSet.of(2, 3, 5))
-        report = cross_check_sunit(cfg, [point], 2)
-        assert report.entries[0].status == PASSED
-        assert report.entries[0].triple == (Fraction(1, 6), Fraction(-5, 3), Fraction(5, 2))
-        assert not report.failures()
-
-    def test_invariants_once_per_point(self, count_calls):
-        counts = {"sym_invariants": 0}
-        count_calls(counts, "doublepell.curve", "sym_invariants")
-        square_curve = validate_curve(4, 9, -3, 32)
-        point = QuadPoint.make(5, (1, 1), (4, 1), (9, 1))
-        cross_check_sunit(SearchConfig(square_curve, SPrimeSet.of(2, 3, 5)), [point], 2)
-        assert counts == {"sym_invariants": 1}
-
-    def test_irrational_triples_skipped(self, curve):
-        points = [
-            QuadPoint.make(13, (2, 0), (3, 0), (0, 1)),
-            QuadPoint.rational(0, 1, 1),
-        ]
-        report = cross_check_sunit(SearchConfig(curve, SPrimeSet.of(2)), points, 3)
-        assert report.counts() == {SKIPPED_IRRATIONAL: 2}
-
-    def test_exponents_divide_out_s_instead_of_factoring(self, deadline):
-        # The numerator is the product of the primes 10^17 + 3 and
-        # 10^18 + 3, which trial division and Floyd's rho do not split in
-        # seconds; dividing out S leaves it whole at once.
-        semiprime = 100000000000000003 * 1000000000000000003
-        with deadline(5):
-            assert _s_unit_exponents(Fraction(semiprime, 2), {2}) is None
-        assert _s_unit_exponents(Fraction(-96, 5), {2, 3, 5}) == {2: 5, 3: 1, 5: -1}
-        assert _s_unit_exponents(Fraction(7, 4), {2, 3}) is None
-        assert _s_unit_exponents(Fraction(1), {2}) == {}
-
-    def test_statuses_are_exhaustive(self):
-        square_curve = validate_curve(4, 9, -3, 32)
-        point = QuadPoint.make(5, (1, 1), (4, 1), (9, 1))
-        report = cross_check_sunit(SearchConfig(square_curve, SPrimeSet.of(2, 3, 5)), [point], 2)
-        assert set(report.counts()) <= {
-            PASSED,
-            SKIPPED_IRRATIONAL,
-            FAILED_MISSING,
-            FAILED_FLAG_MISMATCH,
-            "skipped_exponent",
-            "failed_not_s_unit",
-        }
 
 
 def test_search_config_validates_bounds(curve):
