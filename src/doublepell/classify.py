@@ -93,9 +93,7 @@ def loci_from_signs(point: QuadPoint) -> frozenset[str]:
     A coordinate is fixed by conjugation iff its radical part vanishes and
     negated iff its rational part vanishes; zero coordinates are both.
     """
-    fx, nx = point.x[1] == 0, point.x[0] == 0
-    fy, ny = point.y[1] == 0, point.y[0] == 0
-    fz, nz = point.z[1] == 0, point.z[0] == 0
+    nx, fx, ny, fy, nz, fz = (n == 0 for n in point.nums)
     loci = set()
     if nx and fy and fz:
         loci.add("x-")
@@ -116,7 +114,7 @@ def _sign_pattern(point: QuadPoint) -> tuple[str, str, str] | None:
     """Coordinate-wise behavior under conjugation: "+" fixed, "-" negated;
     None when some coordinate is neither (mixed parts)."""
     symbols = []
-    for u, v in (point.x, point.y, point.z):
+    for u, v in zip(point.nums[0::2], point.nums[1::2]):
         if v == 0:
             symbols.append("+")
         elif u == 0:
@@ -185,20 +183,20 @@ def family_image(
     if verdict not in FAMILY_VERDICTS:
         raise DomainError(f"{verdict} is not a family verdict")
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    L, (X0, X1, Y0, Y1, Z0, Z1) = point.den, point.nums
     LL = L * L
     if verdict is Verdict.FAMILY_XY:
         ok = X1 == 0 and Y1 == 0 and Y0 * Y0 == a * X0 * X0 + c * LL
-        image = (point.x[0], point.y[0])
+        image = (X0, Y0)
     elif verdict is Verdict.FAMILY_XZ:
         ok = X1 == 0 and Z1 == 0 and Z0 * Z0 == b * X0 * X0 + d * LL
-        image = (point.x[0], point.z[0])
+        image = (X0, Z0)
     else:
         ok = Y1 == 0 and Z1 == 0 and b * Y0 * Y0 - a * Z0 * Z0 == curve.cross * LL
-        image = (point.y[0], point.z[0])
+        image = (Y0, Z0)
     if not ok:
         raise PanicInvariant(f"family image of {point} fails its conic")
-    return image
+    return Fraction(image[0], L), Fraction(image[1], L)
 
 
 def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[int]:

@@ -99,11 +99,12 @@ def _mq_pairs(value) -> list:
 def _point_record(curve: CurveParams, point: QuadPoint, source: str | None) -> dict:
     cls = classify(curve, point)
     sym = cls.sym
+    coords = [str(q) for q in point.flat()]
     record = {
         "eps": point.eps,
-        "x": [str(point.x[0]), str(point.x[1])],
-        "y": [str(point.y[0]), str(point.y[1])],
-        "z": [str(point.z[0]), str(point.z[1])],
+        "x": coords[0:2],
+        "y": coords[2:4],
+        "z": coords[4:6],
         "classification": {
             "verdict": cls.verdict.value,
             "degenerate_flags": sorted(cls.degenerate_flags),

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import (
@@ -94,33 +94,31 @@ class SPrimeSet:
         return not self.missing_primes_for(curve)
 
 
-Coord = tuple[Fraction, Fraction]
-
-
 @dataclass(frozen=True)
 class QuadPoint:
-    """A point (x, y, z) with coordinates u + v*sqrt(eps), u, v rational.
+    """A point (x, y, z) with coordinates u + v*sqrt(eps), u, v rational,
+    stored as six integer numerators over one denominator:
+    x = (nums[0] + nums[1]*sqrt(eps))/den, y and z likewise.
 
-    eps is squarefree; eps = 1 encodes rational points (all v = 0).
-    make() is the one validating constructor; _of_squarefree() is make()
-    without the factoring, for an eps already known to be squarefree; the
-    raw constructor makes only structural checks and trusts eps to be
-    squarefree, as later steps do.
+    eps is squarefree; eps = 1 encodes rational points (all radical
+    numerators 0).  den is the least common denominator, so the fields are
+    a normal form.  make() is the one validating constructor;
+    _of_squarefree() is make() without the factoring, for an eps already
+    known to be squarefree, and _of_lift() takes integer numerators over
+    any positive denominator; the raw constructor makes only structural
+    checks and trusts eps to be squarefree, as later steps do.
     """
 
     eps: int
-    x: Coord
-    y: Coord
-    z: Coord
+    den: int
+    nums: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
         if self.eps == 0:
             raise DomainError("eps must be nonzero")
-        radical = False
-        for u, v in (self.x, self.y, self.z):
-            if not (isinstance(u, Fraction) and isinstance(v, Fraction)):
-                raise DomainError("coordinates must be Fraction pairs")
-            radical = radical or v != 0
+        if self.den < 1 or gcd(self.den, *self.nums) != 1:
+            raise DomainError("den must be the least positive common denominator")
+        radical = any(self.nums[1::2])
         if self.eps == 1 and radical:
             raise DomainError("eps = 1 points must have zero radical parts")
         if self.eps != 1 and not radical:
@@ -138,57 +136,59 @@ class QuadPoint:
     @classmethod
     def _of_squarefree(cls, eps: int, x, y, z) -> "QuadPoint":
         """make() for an eps already known to be squarefree, as a search
-        that scans squarefree radicands has: collapse to eps = 1 when every
-        radical part vanishes."""
-        zero = Fraction(0)
+        that scans squarefree radicands has; the int or Fraction
+        coordinates are lifted over the lcm of their denominators."""
+        flat = [q for pair in (x, y, z) for q in pair]
+        den = lcm(*(q.denominator for q in flat))
+        return cls._of_lift(eps, den, [q.numerator * (den // q.denominator) for q in flat])
+
+    @classmethod
+    def _of_lift(cls, eps: int, den: int, nums) -> "QuadPoint":
+        """The point x = (nums[0] + nums[1]*sqrt(eps))/den, y and z likewise,
+        for squarefree eps and den > 0: fold the radical parts into the
+        rational ones when eps = 1, collapse to eps = 1 when every radical
+        part vanishes, and divide out the common factor."""
         if eps == 1:
-            coords = [(Fraction(u + v), zero) for u, v in (x, y, z)]
-        else:
-            coords = [(Fraction(u), Fraction(v)) for u, v in (x, y, z)]
-            if not any(v for _, v in coords):
-                eps = 1
-                coords = [(u, zero) for u, _ in coords]
-        return cls(eps, *coords)
+            nums = [n for i in (0, 2, 4) for n in (nums[i] + nums[i + 1], 0)]
+        elif not any(nums[1::2]):
+            eps = 1
+        g = gcd(den, *nums)
+        return cls(eps, den // g, tuple(n // g for n in nums))
 
     @classmethod
     def rational(cls, x, y, z) -> "QuadPoint":
         return cls.make(1, (x, 0), (y, 0), (z, 0))
 
     def conjugate(self) -> "QuadPoint":
-        u, v = self.x
-        a, b = self.y
-        p, q = self.z
-        return QuadPoint(self.eps, (u, -v), (a, -b), (p, -q))
+        X0, X1, Y0, Y1, Z0, Z1 = self.nums
+        return QuadPoint(self.eps, self.den, (X0, -X1, Y0, -Y1, Z0, -Z1))
 
     def is_rational(self) -> bool:
         return self.eps == 1
 
     def coord_mqs(self) -> tuple[MultiQuad, MultiQuad, MultiQuad]:
         # eps is squarefree, and the radical numerator is 0 when eps = 1.
-        L, flat = self.lift
+        n = self.nums
         return tuple(
-            MultiQuad._of({rad: co for rad, co in ((1, u), (self.eps, v)) if co}, L)
-            for u, v in (flat[0:2], flat[2:4], flat[4:6])
+            MultiQuad._of({rad: co for rad, co in ((1, u), (self.eps, v)) if co}, self.den)
+            for u, v in zip(n[0::2], n[1::2])
         )
 
     def flat(self) -> tuple[Fraction, ...]:
-        return (*self.x, *self.y, *self.z)
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
-    @cached_property
-    def lift(self) -> tuple[int, tuple[int, int, int, int, int, int]]:
-        """(L, (X0, X1, Y0, Y1, Z0, Z1)): L > 0 the lcm of the six coordinate
-        denominators, and x = (X0 + X1*sqrt(eps))/L, y and z likewise."""
-        flat = self.flat()
-        L = lcm(*(q.denominator for q in flat))
-        return L, tuple(q.numerator * (L // q.denominator) for q in flat)
+    # The coordinates as (u, v) Fraction pairs.
+    x = property(lambda self: self.flat()[0:2])
+    y = property(lambda self: self.flat()[2:4])
+    z = property(lambda self: self.flat()[4:6])
 
 
 def on_curve(curve: CurveParams, point: QuadPoint) -> bool:
     """Exact check of both defining equations in Q(sqrt(eps)), in integers
     over the common denominator: y^2 = a*x^2 + c times L^2 is one equation
     for the rational part and one for the sqrt(eps) part."""
-    e = point.eps
-    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    e, L = point.eps, point.den
+    X0, X1, Y0, Y1, Z0, Z1 = point.nums
     xx, xv = X0 * X0 + e * X1 * X1, X0 * X1
     LL = L * L
     return (
@@ -251,7 +251,7 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     so alpha = cd/(ff*gg) = ff~*gg~/(cd), beta = c(bc-ad)/(ff*hh) =
     ff~*hh~/(c(bc-ad)) and gamma = d(ad-bc)/(gg*hh) = gg~*hh~/(d(ad-bc)).
 
-    All of it runs in integers over the point's lift: the norms
+    All of it runs in integers over the point's denominator L: the norms
     X0^2 - eps*X1^2 and the crosses 2(X0*Y0 - eps*X1*Y1) are the norms and
     crosses of the coordinates times L^2, so ff, gg, hh and their flips
     times L^2 are MultiQuads with integer coefficients, one root times a
@@ -263,7 +263,7 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
         raise OffCurve(f"{point} is not on {curve}")
     e = point.eps
     a, b, c, d, cross = curve.a, curve.b, curve.c, curve.d, curve.cross
-    L, (X0, X1, Y0, Y1, Z0, Z1) = point.lift
+    L, (X0, X1, Y0, Y1, Z0, Z1) = point.den, point.nums
     xx, yy, zz = X0 * X0 - e * X1 * X1, Y0 * Y0 - e * Y1 * Y1, Z0 * Z0 - e * Z1 * Z1
     xy = 2 * (X0 * Y0 - e * X1 * Y1)
     xz = 2 * (X0 * Z0 - e * X1 * Z1)
@@ -388,14 +388,13 @@ def canonical_representative(point: QuadPoint) -> QuadPoint:
     sign flips and conjugation: the variant with lexicographically maximal
     (u, v) sequence, which puts nonnegative entries first.
 
-    Every variant's entry is +-|entry|, so two variants compare as their
-    sign sequences do: the signs (sx, sy, sz, tau) are chosen on integer
-    sign tuples, and only the entries they negate are rebuilt.  Sign flips
-    keep eps squarefree and the radical parts nonzero, so the winner needs
-    no canonicalization through make().
+    Every variant's numerator is +-|numerator| over the same denominator,
+    so two variants compare as their sign sequences do: the signs (sx, sy,
+    sz, tau) are chosen on integer sign tuples, and the numerators are
+    flipped to match.  Sign flips keep den least and the radical parts
+    nonzero, so the winner needs no canonicalization through make().
     """
-    (ux, vx), (uy, vy), (uz, vz) = point.x, point.y, point.z
-    signs = [(q.numerator > 0) - (q.numerator < 0) for q in (ux, vx, uy, vy, uz, vz)]
+    signs = [(n > 0) - (n < 0) for n in point.nums]
     sx, sy, sz, tau = max(
         product((1, -1), repeat=4),
         key=lambda t: (
@@ -404,29 +403,18 @@ def canonical_representative(point: QuadPoint) -> QuadPoint:
             t[2] * signs[4], t[2] * t[3] * signs[5],
         ),
     )
-
-    def signed(q: Fraction, sign: int) -> Fraction:
-        return q if sign > 0 else -q
-
-    return QuadPoint(
-        point.eps,
-        (signed(ux, sx), signed(vx, sx * tau)),
-        (signed(uy, sy), signed(vy, sy * tau)),
-        (signed(uz, sz), signed(vz, sz * tau)),
-    )
+    flips = (sx, sx * tau, sy, sy * tau, sz, sz * tau)
+    return QuadPoint(point.eps, point.den, tuple(n * f for n, f in zip(point.nums, flips)))
 
 
 def pair_key(point: QuadPoint):
     """Hashable key of the unordered conjugate pair {P, P'}."""
-    k1 = point.flat()
-    k2 = point.conjugate().flat()
-    return (point.eps,) + tuple(sorted((k1, k2)))
+    return (point.eps, point.den) + tuple(sorted((point.nums, point.conjugate().nums)))
 
 
-def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
-    """True when the denominator of q is supported on `primes`: dividing
+def _is_s_smooth(n: int, primes: Iterable[int]) -> bool:
+    """True when the positive integer n is supported on `primes`: dividing
     them out leaves 1.  No factoring."""
-    n = q.denominator
     for p in primes:
         while n % p == 0:
             n //= p
@@ -435,6 +423,6 @@ def _is_s_fraction(q: Fraction, primes: Iterable[int]) -> bool:
 
 def is_s_integral(point: QuadPoint, primes: Iterable[int]) -> bool:
     """True when every coordinate denominator is supported on the primes
-    `primes`; DomainError when one of them is not prime."""
-    allowed = SPrimeSet(frozenset(primes)).primes
-    return all(_is_s_fraction(q, allowed) for q in point.flat())
+    `primes`, as their lcm, the point's den, is; DomainError when one of
+    them is not prime."""
+    return _is_s_smooth(point.den, SPrimeSet(frozenset(primes)).primes)

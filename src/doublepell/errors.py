@@ -25,5 +25,9 @@ class OffCurve(DomainError):
     """Point does not satisfy the curve equations."""
 
 
+class FactoringLimit(DomainError):
+    """factorize met a number it cannot split within its work cap."""
+
+
 class PanicInvariant(RuntimeError):
     """An internal algebraic invariant failed; this always indicates a bug."""

@@ -18,15 +18,17 @@ from fractions import Fraction
 from itertools import compress
 from typing import Mapping, Union
 
-from .errors import DivisionByZero, DomainError
+from .errors import DivisionByZero, DomainError, FactoringLimit
 
 Coefficient = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10_000
 # Trial primes go in blocks of this many, one gcd per block.
 _TRIAL_BLOCK = 32
-# Brent's rho takes one gcd per this many steps.
+# Brent's rho takes one gcd per this many steps, and gives up before a
+# doubling stretch longer than _RHO_MAX_STRETCH.
 _RHO_BATCH = 64
+_RHO_MAX_STRETCH = 2**20
 
 
 def _primes_upto(limit: int) -> tuple[int, ...]:
@@ -131,11 +133,15 @@ def _pollard_rho(n: int) -> int:
     algorithm", BIT 20, 1980): the walk y -> y^2 + c runs in doubling
     stretches, and one gcd covers the product of _RHO_BATCH differences.
     A batch whose gcd is n is walked again one step at a time; a walk that
-    still finds n alone restarts with the next c."""
+    still finds n alone restarts with the next c.  FactoringLimit, naming
+    n, stops a walk whose next stretch would pass _RHO_MAX_STRETCH."""
     c = 1
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > _RHO_MAX_STRETCH:
+                raise FactoringLimit(f"cannot factor {n}: Pollard's rho found no factor "
+                                     f"in stretches of up to {_RHO_MAX_STRETCH} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -167,7 +173,8 @@ def factorize(n: int) -> dict[int, int]:
     least prime squared exceeds what remains, which is then 1 or a prime,
     as is any remainder below _TRIAL_LIMIT^2.  A larger remainder is split
     by Brent's rho until each part passes the Baillie-PSW test, which is
-    proven below 2^64 and has no known counterexample above it.
+    proven below 2^64 and has no known counterexample above it; a part rho
+    cannot split within its cap raises FactoringLimit.
     """
     if n == 0:
         raise DomainError("cannot factor 0")

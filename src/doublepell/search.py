@@ -6,15 +6,16 @@ that is the square root of an S-integer in s and t; one walk along the
 conic's lazy Pell stream enumerates each of the three families.
 
 box_search is an exhaustive independent oracle over a finite coefficient
-box, and the genus-1 locus hunt scans each shape straight over that box,
-O(coeff_bound) square tests per shape and admissible radicand.
+box.  The genus-1 locus hunt makes O(coeff_bound) square tests per shape
+and admissible radicand over integral rational coordinates only, so it
+misses box points whose scanned coordinates have an S-denominator
+(ROADMAP item 6).
 
 Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
 integer up to coeff_bound, so both searches work over the common
 denominator L = lcm(q): the coordinate is the integer n*(L/q), and box
-membership is one lookup in the set of those integers.  The box scan runs
-in int from the square tests to the box lookups; a Fraction is built only
-for a candidate that passed them.
+membership is one lookup in the set of those integers.  Both run in int,
+and each candidate is a QuadPoint of integer numerators over L.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .curve import (
     CurveParams,
     QuadPoint,
     SPrimeSet,
-    _is_s_fraction,
+    _is_s_smooth,
     canonical_representative,
     on_curve,
 )
@@ -90,7 +91,7 @@ def _walk_family(cfg: SearchConfig, conic, third, place) -> list[QuadPoint]:
     points = []
     for s, t in _conic_stream(*conic, _PELL_Y_CAP):
         r = third(s, t)
-        if not _is_s_fraction(r, primes):
+        if not _is_s_smooth(r.denominator, primes):
             continue
         # sqrt(p/q) = sqrt(p*q)/q: make() folds the square part of p*q into
         # the coordinate, and a square p*q into its rational part.  For an
@@ -222,10 +223,6 @@ def _box_candidates(cfg: SearchConfig):
     scan = sorted(n for n in box if n >= 0)
     a, b = curve.a, curve.b
     cL2, dL2 = curve.c * L * L, curve.d * L * L
-
-    def scaled(pair):
-        return Fraction(pair[0], L), Fraction(pair[1], L)
-
     for eps in _squarefree_eps_range(cfg.eps_bound):
         # Rational points come from eps = 1 with V = 0.
         for X in scan:
@@ -238,7 +235,7 @@ def _box_candidates(cfg: SearchConfig):
                 zs = _box_roots(b * rx + dL2, b * ix, eps, box)
                 for y_pair in ys:
                     for z_pair in zs:
-                        yield QuadPoint._of_squarefree(eps, scaled((X, V)), scaled(y_pair), scaled(z_pair))
+                        yield QuadPoint._of_lift(eps, L, (X, V, *y_pair, *z_pair))
 
 
 def _square_scan(m: int, k: int, bound: int):
@@ -252,15 +249,15 @@ def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:
 
     Each shape puts one coordinate t in the base field and the other two in
     sqrt(eps)*Q.  One curve equation ties t to one of them, u; scanning t or
-    u over 0..coeff_bound with an exact square test finds its solutions in
-    the box at O(coeff_bound) per shape and radicand.  The other equation is
-    a companion square condition on the third coordinate.
+    u over the integers 0..coeff_bound with an exact square test finds its
+    integral solutions at O(coeff_bound) per shape and radicand.  The other
+    equation is a companion square condition on the third coordinate.
 
     The radicand candidates are supported on the primes of bc - ad together
     with S.  The shapes whose rational coordinate is y or z force eps to
-    divide d or c instead, so the list is exhaustive only when S contains
-    the primes of c*d, the standing admissibility hypothesis; box_search
-    stays the unconditional oracle.
+    divide d or c instead, which S covers when it contains the primes of
+    c*d.  Even then a point whose t or u has an S-denominator is missed
+    (ROADMAP item 6); box_search stays the oracle.
     """
     candidates = _exceptional_candidates(cfg)
     return _collect(cfg.curve, (p for p in candidates if p.eps != 1), "exceptional")
@@ -273,9 +270,8 @@ def _exceptional_candidates(cfg: SearchConfig):
     L, box = _box(cfg)
 
     def companion(eps: int, m: int):
-        """v >= 0 in the box with eps*v^2 = m, or None."""
-        root = _box_sqrt(m * L * L, eps, box)
-        return None if root is None else Fraction(root, L)
+        """V = v*L for the v >= 0 in the box with eps*v^2 = m, or None."""
+        return _box_sqrt(m * L * L, eps, box)
 
     for eps in exceptional_eps_candidates(curve, cfg.s_primes):
         # x rational: eps*u^2 = a*t^2 + c, scanned as r^2 = eps*(a*t^2 + c);
@@ -284,15 +280,15 @@ def _exceptional_candidates(cfg: SearchConfig):
         for t, r in _square_scan(a * eps, c * eps, bound):
             u = r // eps
             if abs(u) <= bound and (v := companion(eps, b * t * t + d)) is not None:
-                yield QuadPoint._of_squarefree(eps, (t, 0), (0, u), (0, v))
+                yield QuadPoint._of_lift(eps, L, (t * L, 0, 0, u * L, 0, v))
         # y rational: t^2 = a*eps*u^2 + c, companion eps*v^2 = b*eps*u^2 + d.
         for u, t in _square_scan(a * eps, c, bound):
             if t <= bound and (v := companion(eps, b * eps * u * u + d)) is not None:
-                yield QuadPoint._of_squarefree(eps, (0, u), (t, 0), (0, v))
+                yield QuadPoint._of_lift(eps, L, (0, u * L, t * L, 0, 0, v))
         # z rational: t^2 = b*eps*u^2 + d, companion eps*v^2 = a*eps*u^2 + c.
         for u, t in _square_scan(b * eps, d, bound):
             if t <= bound and (v := companion(eps, a * eps * u * u + c)) is not None:
-                yield QuadPoint._of_squarefree(eps, (0, u), (0, v), (t, 0))
+                yield QuadPoint._of_lift(eps, L, (0, u * L, 0, v, t * L, 0))
 
 
 def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:

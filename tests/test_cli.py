@@ -222,6 +222,19 @@ class TestClassifyCommand:
             )
         assert code == 2 and "not on" in err
 
+    def test_on_curve_point_over_an_unsplittable_eps_exits_2(self, capsys, monkeypatch, deadline):
+        # x = 1 + sqrt(n), y = 2 + sqrt(n), z = 3 + sqrt(n) is on the curve
+        # with c = 2 - n and d = 6 - 2n, so eps is factored to be printed;
+        # rho, capped at stretches of 2^10 steps here, gives up and names it.
+        n = self.HARD_SEMIPRIME
+        monkeypatch.setattr(sys.modules["doublepell.exactmath"], "_RHO_MAX_STRETCH", 2**10)
+        with deadline(2):
+            code, _, err = run_cli(
+                capsys, "classify", "--curve", f"2,3,{2 - n},{6 - 2 * n}",
+                "--point", f"{n};1,1;2,1;3,1",
+            )
+        assert code == 2 and f"cannot factor {n}" in err
+
     def test_square_eps_folds_without_factoring(self, capsys, deadline):
         # y = (1/N)*sqrt(N^2) = 1, so the point is the rational (0, 1, 1).
         n = self.HARD_SEMIPRIME

@@ -62,6 +62,37 @@ class TestQuadPoint:
         with pytest.raises(DomainError):
             QuadPoint.make(0, (1, 0), (1, 0), (1, 0))
 
+    def test_every_constructor_gives_one_normal_form(self):
+        # x = 1/2 + sqrt(6)/3, y = 3/4, z = -sqrt(6)/4: least denominator 12.
+        coords = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), 0), (0, Fraction(-1, 4)))
+        halved = [(u, Fraction(v, 2)) for u, v in coords]  # sqrt(24) = 2*sqrt(6)
+        nums = (6, 4, 9, 0, 0, -3)
+        points = [
+            QuadPoint.make(24, *halved),
+            QuadPoint._of_squarefree(6, *coords),
+            QuadPoint._of_lift(6, 24, tuple(2 * n for n in nums)),
+            QuadPoint._of_lift(6, 12, nums),
+        ]
+        for point in points:
+            assert (point.eps, point.den, point.nums) == (6, 12, nums)
+            assert point == points[0] and hash(point) == hash(points[0])
+        assert points[0].flat() == tuple(q for pair in coords for q in pair)
+
+    @pytest.mark.parametrize(
+        "eps, den, nums",
+        [
+            (6, 0, (1, 1, 0, 0, 0, 0)),     # den = 0
+            (6, -2, (1, 1, 0, 0, 0, 0)),    # negative den
+            (6, 2, (2, 4, 0, 0, 2, 0)),     # den not least: gcd 2
+            (0, 1, (1, 1, 0, 0, 0, 0)),     # eps = 0
+            (1, 1, (1, 1, 0, 0, 0, 0)),     # eps = 1 with a radical part
+            (6, 1, (1, 0, 2, 0, 3, 0)),     # eps != 1 with none
+        ],
+    )
+    def test_raw_constructor_rejects_what_is_not_the_normal_form(self, eps, den, nums):
+        with pytest.raises(DomainError):
+            QuadPoint(eps, den, nums)
+
 
 class TestOnCurve:
     def test_rational_point(self):

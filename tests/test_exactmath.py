@@ -15,6 +15,7 @@ from reference_factoring import (
 from doublepell import (
     DivisionByZero,
     DomainError,
+    FactoringLimit,
     MultiQuad,
     QuadPoint,
     SearchConfig,
@@ -126,6 +127,14 @@ class TestFactoringLayer:
         point = QuadPoint.make(p * p * q, (1, 0), (0, 1), (2, 3))
         assert point.eps == q
         assert point.y == (0, p) and point.z == (2, 3 * p)
+
+    def test_rho_stops_at_its_cap_and_names_the_number(self, monkeypatch):
+        # Rho needs stretches of 2^19 steps to split psi_12; under a cap of
+        # 2^10 it gives up instead.
+        p, q = PSI_12
+        monkeypatch.setattr(exactmath, "_RHO_MAX_STRETCH", 2**10)
+        with pytest.raises(FactoringLimit, match=str(p * q)):
+            factorize(p * q)
 
     def test_family_radicands_match_the_reference(self, monkeypatch):
         # Every radicand the three family walks factor, up to 38 digits.

@@ -14,3 +14,8 @@ def test_deleted_names_stay_gone():
         assert not hasattr(doublepell, name)
     assert not hasattr(doublepell.MultiQuad, "conjugate_under")
     assert not hasattr(doublepell.search, "_s_unit_exponents")
+
+
+def test_factoring_limit_is_a_domain_error():
+    assert "FactoringLimit" in doublepell.__all__
+    assert issubclass(doublepell.FactoringLimit, doublepell.DomainError)

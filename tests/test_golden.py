@@ -11,7 +11,9 @@ changes any byte of a report fails here.
 
 import hashlib
 import json
+import re
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +94,16 @@ def test_pell_csv_file_unchanged(capsys, tmp_path):
     text = target.read_bytes()
     assert text.startswith(b"x,y\n")
     assert _sha256(text) == PELL_CSV_FILE
+
+
+def test_readme_quick_tour_runs(capsys):
+    # The python block is read out of README.md, so the test follows edits.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(tour, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["Family_xy", "1", "True"]
+    points = lines[3:]
+    assert len(points) == 4
+    assert points[1] == "13 (Fraction(2, 1), Fraction(0, 1)) (Fraction(3, 1), Fraction(0, 1)) " \
+        "(Fraction(0, 1), Fraction(1, 1))"

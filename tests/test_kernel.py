@@ -1,8 +1,8 @@
 """The integer per-point kernel against its Fraction oracles.
 
 on_curve and canonical_representative run in integers over each point's
-common denominator, and sym_invariants forms ff, gg, hh from that integer
-lift as MultiQuads, which hold integer numerators over one denominator.
+common denominator, and sym_invariants forms ff, gg, hh from those integer
+numerators as MultiQuads, which hold integer numerators over one denominator.
 The oracles below start from the Fraction coordinates instead: both curve
 equations as MultiQuad polynomials in the coordinates, ff, gg, hh and their
 flips as MultiQuad sums of Fraction norms and crosses with alpha, beta,
@@ -76,7 +76,7 @@ def oracle_canonical_representative(point):
         for sz in (1, -1)
         for tau in (1, -1)
     )
-    return QuadPoint(point.eps, best[0:2], best[2:4], best[4:6])
+    return QuadPoint._of_squarefree(point.eps, best[0:2], best[2:4], best[4:6])
 
 
 def variants(point):
@@ -85,7 +85,7 @@ def variants(point):
     for sx, sy, sz, tau in product((0, 1), repeat=4):
         flips = (sx, sx ^ tau, sy, sy ^ tau, sz, sz ^ tau)
         e = [pair[flip] for pair, flip in zip(signed, flips)]
-        yield QuadPoint(point.eps, (e[0], e[1]), (e[2], e[3]), (e[4], e[5]))
+        yield QuadPoint._of_squarefree(point.eps, (e[0], e[1]), (e[2], e[3]), (e[4], e[5]))
 
 
 def perturbations(point):
@@ -104,7 +104,7 @@ def perturbations(point):
             moved[index] = entry
             if not any(moved[1::2]):
                 continue  # no radical part left: not a point over eps
-            yield QuadPoint(point.eps, tuple(moved[0:2]), tuple(moved[2:4]), tuple(moved[4:6]))
+            yield QuadPoint._of_squarefree(point.eps, moved[0:2], moved[2:4], moved[4:6])
 
 
 class TestAgainstOracles:
@@ -139,14 +139,14 @@ class TestAgainstOracles:
 class TestLift:
     def test_numerators_over_the_common_denominator(self):
         point = QuadPoint.make(13, (Fraction(1, 2), 0), (Fraction(2, 3), 1), (0, Fraction(-5, 4)))
-        L, numerators = point.lift
-        assert L == 12
-        assert numerators == (6, 0, 8, 12, 0, -15)
-        for q, n in zip(point.flat(), numerators):
-            assert q == Fraction(n, L)
+        assert point.den == 12
+        assert point.nums == (6, 0, 8, 12, 0, -15)
+        for q, n in zip(point.flat(), point.nums):
+            assert q == Fraction(n, point.den)
 
     def test_integral_point_lifts_over_one(self):
-        assert QuadPoint.rational(0, 1, 1).lift == (1, (0, 0, 1, 0, 1, 0))
+        point = QuadPoint.rational(0, 1, 1)
+        assert (point.den, point.nums) == (1, (0, 0, 1, 0, 1, 0))
 
 
 class TestChecksStay:

@@ -448,6 +448,19 @@ class TestSearchExceptional:
         assert witness not in search_exceptional(bare)
         assert witness in box_search(SearchConfig(other, coeff_bound=4, eps_bound=7))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the hunt scans integral t and u only; ROADMAP item 6 scans S-denominators",
+    )
+    def test_finds_every_exceptional_box_point_with_s_denominators(self, curve):
+        # The box finds x = sqrt(-2)/2, y = 0, z = sqrt(-2)/2, Exceptional_y,
+        # whose radical parts have the S-denominator 2.
+        cfg = SearchConfig(curve, SPrimeSet.of(2, 3), coeff_bound=8)
+        exceptional = (Verdict.EXCEPTIONAL_X, Verdict.EXCEPTIONAL_Y, Verdict.EXCEPTIONAL_Z)
+        boxed = {p for p in box_search(cfg) if classify(curve, p).verdict in exceptional}
+        assert QuadPoint.make(-2, (0, Fraction(1, 2)), (0, 0), (0, Fraction(1, 2))) in boxed
+        assert boxed <= set(search_exceptional(cfg))
+
     def test_emissions_on_intersection_loci_keep_marker(self):
         # A genus-1 locus can meet a family locus; the verdict then follows
         # flag precedence but the multi-degenerate marker is retained.
