@@ -35,22 +35,19 @@ class Verdict(str, Enum):
         return self.value
 
 
-FAMILY_VERDICTS = (Verdict.FAMILY_XY, Verdict.FAMILY_XZ, Verdict.FAMILY_YZ)
-
-# Locus tags: the coordinate whose conjugation behavior splits the case,
-# with "-" for the genus-0 (family) branch and "+" for the genus-1
-# (exceptional) branch.
-_LOCUS_VERDICT = {
-    "x-": Verdict.FAMILY_YZ,
-    "x+": Verdict.EXCEPTIONAL_X,
-    "y-": Verdict.FAMILY_XZ,
-    "y+": Verdict.EXCEPTIONAL_Y,
-    "z-": Verdict.FAMILY_XY,
-    "z+": Verdict.EXCEPTIONAL_Z,
+# The six loci with their verdict and degenerate flag, keyed by the
+# coordinate whose conjugation behavior splits the case, with "-" for the
+# genus-0 (family) branch and "+" for the genus-1 (exceptional) branch.
+# This order is the verdict precedence for a point on several loci.
+_LOCI = {
+    "x-": (Verdict.FAMILY_YZ, "alpha"),
+    "x+": (Verdict.EXCEPTIONAL_X, "alpha"),
+    "y-": (Verdict.FAMILY_XZ, "beta"),
+    "y+": (Verdict.EXCEPTIONAL_Y, "beta"),
+    "z-": (Verdict.FAMILY_XY, "gamma"),
+    "z+": (Verdict.EXCEPTIONAL_Z, "gamma"),
 }
-_AXIS_FLAG = {"x": "alpha", "y": "beta", "z": "gamma"}
-# The degenerate flag of each family: that of the axis whose "-" locus it is.
-FAMILY_FLAG = {_LOCUS_VERDICT[f"{axis}-"]: flag for axis, flag in _AXIS_FLAG.items()}
+FAMILY_FLAG = {verdict: flag for tag, (verdict, flag) in _LOCI.items() if tag[1] == "-"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class Classification:
 
 def detect_degenerate(sym: SymPoint) -> frozenset[str]:
     """Which of alpha, beta, gamma equal 1 exactly; several may hold."""
-    return frozenset(flag for flag in _AXIS_FLAG.values() if getattr(sym, flag) == 1)
+    return frozenset(flag for flag in ("alpha", "beta", "gamma") if getattr(sym, flag) == 1)
 
 
 def loci_from_invariants(curve: CurveParams, sym: SymPoint) -> frozenset[str]:
@@ -147,8 +144,7 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
         raise PanicInvariant(
             f"invariant loci {sorted(inv_loci)} != sign loci {sorted(sig_loci)} at {point}"
         )
-    axes_with_locus = {tag[0] for tag in inv_loci}
-    if flags != {_AXIS_FLAG[axis] for axis in axes_with_locus}:
+    if flags != {_LOCI[tag][1] for tag in inv_loci}:
         raise PanicInvariant(f"flags {sorted(flags)} inconsistent with loci {sorted(inv_loci)}")
 
     if point.eps == 1:
@@ -158,14 +154,7 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
     elif not inv_loci:
         verdict = Verdict.SPORADIC
     else:
-        verdict = None
-        for axis in "xyz":
-            if f"{axis}-" in inv_loci:
-                verdict = _LOCUS_VERDICT[f"{axis}-"]
-                break
-            if f"{axis}+" in inv_loci:
-                verdict = _LOCUS_VERDICT[f"{axis}+"]
-                break
+        verdict = next(v for tag, (v, _) in _LOCI.items() if tag in inv_loci)
     return Classification(
         verdict=verdict,
         degenerate_flags=flags,
@@ -175,28 +164,31 @@ def classify(curve: CurveParams, point: QuadPoint) -> Classification:
     )
 
 
+def family_conic(curve: CurveParams, verdict: Verdict) -> tuple[int, int, int, int, int]:
+    """(i, j, A, B, C): the family's rational coordinates i and j (0, 1, 2
+    for x, y, z) and its conic A*s^2 - B*t^2 = C, with s the i-th
+    coordinate and t the j-th."""
+    if verdict == Verdict.FAMILY_XY:
+        return 1, 0, 1, curve.a, curve.c
+    if verdict == Verdict.FAMILY_XZ:
+        return 2, 0, 1, curve.b, curve.d
+    if verdict == Verdict.FAMILY_YZ:
+        return 1, 2, curve.b, curve.a, curve.cross
+    raise DomainError(f"{verdict} is not a family verdict")
+
+
 def family_image(
     curve: CurveParams, point: QuadPoint, verdict: Verdict
 ) -> tuple[Fraction, Fraction]:
-    """The rational coordinate pair a family point projects to, checked
-    against its conic in integers over the point's common denominator."""
-    if verdict not in FAMILY_VERDICTS:
-        raise DomainError(f"{verdict} is not a family verdict")
-    a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    L, (X0, X1, Y0, Y1, Z0, Z1) = point.den, point.nums
-    LL = L * L
-    if verdict is Verdict.FAMILY_XY:
-        ok = X1 == 0 and Y1 == 0 and Y0 * Y0 == a * X0 * X0 + c * LL
-        image = (X0, Y0)
-    elif verdict is Verdict.FAMILY_XZ:
-        ok = X1 == 0 and Z1 == 0 and Z0 * Z0 == b * X0 * X0 + d * LL
-        image = (X0, Z0)
-    else:
-        ok = Y1 == 0 and Z1 == 0 and b * Y0 * Y0 - a * Z0 * Z0 == curve.cross * LL
-        image = (Y0, Z0)
-    if not ok:
+    """The rational coordinate pair a family point projects to, in coordinate
+    order, checked against its conic in integers over the point's common
+    denominator."""
+    i, j, A, B, C = family_conic(curve, verdict)
+    L, n = point.den, point.nums
+    S0, T0 = n[2 * i], n[2 * j]
+    if n[2 * i + 1] or n[2 * j + 1] or A * S0 * S0 - B * T0 * T0 != C * L * L:
         raise PanicInvariant(f"family image of {point} fails its conic")
-    return Fraction(image[0], L), Fraction(image[1], L)
+    return Fraction(n[2 * min(i, j)], L), Fraction(n[2 * max(i, j)], L)
 
 
 def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[int]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .classify import FAMILY_FLAG, FAMILY_VERDICTS, Verdict, classify, family_image
+from .classify import FAMILY_FLAG, Verdict, classify, family_image
 from .curve import (
     CurveParams,
     IdentityReport,
@@ -114,7 +114,7 @@ def _point_record(curve: CurveParams, point: QuadPoint, source: str | None) -> d
         "family_image": None,
         "invariants": {name: _mq_pairs(getattr(sym, name)) for name in _INVARIANT_NAMES},
     }
-    if cls.verdict in FAMILY_VERDICTS:
+    if cls.verdict in FAMILY_FLAG:
         image = family_image(curve, point, cls.verdict)
         record["family_image"] = [str(image[0]), str(image[1])]
     if source is not None:

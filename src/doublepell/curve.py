@@ -163,9 +163,6 @@ class QuadPoint:
         X0, X1, Y0, Y1, Z0, Z1 = self.nums
         return QuadPoint(self.eps, self.den, (X0, -X1, Y0, -Y1, Z0, -Z1))
 
-    def is_rational(self) -> bool:
-        return self.eps == 1
-
     def coord_mqs(self) -> tuple[MultiQuad, MultiQuad, MultiQuad]:
         # eps is squarefree, and the radical numerator is 0 when eps = 1.
         n = self.nums
@@ -314,7 +311,7 @@ def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     sa, sb, sab = curve.roots
     f, g, h = _fgh(curve, point)
-    f2, g2, h2 = _fgh(curve, point.conjugate())
+    f2, g2, _ = _fgh(curve, point.conjugate())
 
     linear = sb * f - sa * g == h
     inverse = c * sb * f.inverse() - d * sa * g.inverse() == h

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import isqrt, lcm
 
-from .classify import exceptional_eps_candidates
+from .classify import Verdict, exceptional_eps_candidates, family_conic
 from .curve import (
     CurveParams,
     QuadPoint,
@@ -67,26 +67,29 @@ class SUnitSolution:
 
 def _squarefree_eps_range(limit: int) -> list[int]:
     """The nonzero squarefree integers in [-limit, limit], found without
-    factoring: no p*p with p <= isqrt(|e|) divides e."""
-    return [
-        e for e in range(-limit, limit + 1)
-        if e and all(e % (p * p) for p in range(2, isqrt(abs(e)) + 1))
-    ]
+    factoring: the multiples of each p*p are struck from a sieve."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = 0
+    for p in range(2, isqrt(limit) + 1):
+        sieve[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    positive = list(compress(range(limit + 1), sieve))
+    return [-e for e in reversed(positive)] + positive
 
 
 def _point_key(p: QuadPoint):
     return (abs(p.eps), p.eps, p.flat())
 
 
-def _walk_family(cfg: SearchConfig, conic, third, place) -> list[QuadPoint]:
-    """Points over the integral (s, t) on A*s^2 - B*t^2 = C, conic = (A, B,
-    C), in ascending t until family_count points or t > _PELL_Y_CAP;
-    canonical representatives.
+def _walk_family(cfg: SearchConfig, verdict: Verdict, third) -> list[QuadPoint]:
+    """Points over the integral (s, t) on the family's conic A*s^2 - B*t^2 =
+    C, s and t at the coordinates i and j that family_conic gives, in
+    ascending t until family_count points or t > _PELL_Y_CAP; canonical
+    representatives.
 
     The third coordinate is sqrt(r), r = third(s, t), and a step is kept
-    when r is an S-integer, its denominator supported on S; place(s, t, w)
-    orders the coordinate pairs (s, 0), (t, 0) and w as (x, y, z).
+    when r is an S-integer, its denominator supported on S.
     """
+    i, j, *conic = family_conic(cfg.curve, verdict)
     primes = cfg.s_primes.primes
     points = []
     for s, t in _conic_stream(*conic, _PELL_Y_CAP):
@@ -97,9 +100,9 @@ def _walk_family(cfg: SearchConfig, conic, third, place) -> list[QuadPoint]:
         # the coordinate, and a square p*q into its rational part.  For an
         # integral r the coordinate stays the int 1, so no Fraction is built.
         p, q = r.numerator, r.denominator
-        w = (0, Fraction(1, q) if q > 1 else 1) if p else (0, 0)
-        pt = QuadPoint.make(p * q or 1, *place((s, 0), (t, 0), w))
-        points.append(canonical_representative(pt))
+        coords = [(0, Fraction(1, q) if q > 1 else 1) if p else (0, 0)] * 3
+        coords[i], coords[j] = (s, 0), (t, 0)
+        points.append(canonical_representative(QuadPoint.make(p * q or 1, *coords)))
         if len(points) == cfg.family_count:
             break
     return points
@@ -108,32 +111,23 @@ def _walk_family(cfg: SearchConfig, conic, third, place) -> list[QuadPoint]:
 def enumerate_family_xy(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral solutions of y^2 = a x^2 + c, with z completed
     as sqrt(b x^2 + d); ascending x, canonical representatives."""
-    a, b, c, d = cfg.curve.a, cfg.curve.b, cfg.curve.c, cfg.curve.d
-    return _walk_family(
-        cfg, (1, a, c), lambda y, x: b * x * x + d, lambda y, x, z: (x, y, z)
-    )
+    b, d = cfg.curve.b, cfg.curve.d
+    return _walk_family(cfg, Verdict.FAMILY_XY, lambda y, x: b * x * x + d)
 
 
 def enumerate_family_xz(cfg: SearchConfig) -> list[QuadPoint]:
     """Mirror of the xy family: integral (x, z) on z^2 = b x^2 + d with y
     completed as sqrt(a x^2 + c)."""
-    a, b, c, d = cfg.curve.a, cfg.curve.b, cfg.curve.c, cfg.curve.d
-    return _walk_family(
-        cfg, (1, b, d), lambda z, x: a * x * x + c, lambda z, x, y: (x, y, z)
-    )
+    a, c = cfg.curve.a, cfg.curve.c
+    return _walk_family(cfg, Verdict.FAMILY_XZ, lambda z, x: a * x * x + c)
 
 
 def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral (y, z) with b y^2 - a z^2 = bc - ad, keeping the
     subsequence where x^2 = (y^2 - c)/a is an S-integer; ascending z,
     canonical representatives."""
-    curve = cfg.curve
-    return _walk_family(
-        cfg,
-        (curve.b, curve.a, curve.cross),
-        lambda y, z: Fraction(y * y - curve.c, curve.a),
-        lambda y, z, x: (x, y, z),
-    )
+    a, c = cfg.curve.a, cfg.curve.c
+    return _walk_family(cfg, Verdict.FAMILY_YZ, lambda y, z: Fraction(y * y - c, a))
 
 
 def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:

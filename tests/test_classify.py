@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -7,8 +7,10 @@ from doublepell import (
     DegenerateCurve,
     DomainError,
     QuadPoint,
+    SearchConfig,
     SPrimeSet,
     Verdict,
+    box_search,
     classify,
     detect_degenerate,
     exceptional_eps_candidates,
@@ -20,6 +22,7 @@ from doublepell import (
     sym_invariants,
     validate_curve,
 )
+from doublepell.classify import FAMILY_FLAG, _in_base_square_class, family_conic
 
 # a, b over -12..12 with no zero, for the square-class grids below.
 _GRID = [n for n in range(-12, 13) if n]
@@ -139,6 +142,53 @@ class TestClassify:
     def test_rejects_off_curve(self, curve):
         with pytest.raises(DomainError):
             classify(curve, QuadPoint.rational(1, 1, 1))
+
+
+def _reference_verdict(curve, point):
+    """The verdict by a loop over the axes, each axis's "-" locus before its
+    "+" locus: the reference for the order of the locus table."""
+    if point.eps == 1:
+        return Verdict.RATIONAL
+    if _in_base_square_class(curve, point.eps):
+        return Verdict.K_RATIONAL
+    loci = loci_from_invariants(curve, sym_invariants(curve, point))
+    verdicts = {
+        "x-": Verdict.FAMILY_YZ,
+        "x+": Verdict.EXCEPTIONAL_X,
+        "y-": Verdict.FAMILY_XZ,
+        "y+": Verdict.EXCEPTIONAL_Y,
+        "z-": Verdict.FAMILY_XY,
+        "z+": Verdict.EXCEPTIONAL_Z,
+    }
+    for axis in "xyz":
+        if f"{axis}-" in loci:
+            return verdicts[f"{axis}-"]
+        if f"{axis}+" in loci:
+            return verdicts[f"{axis}+"]
+    return Verdict.SPORADIC
+
+
+class TestVerdictPrecedence:
+    def test_matches_the_axis_loop_on_a_box_grid(self):
+        # 943 points, 369 of them on two loci, in six different pairs.
+        pairs = set()
+        grid = product((-2, -1, 1, 2, 3), (-1, 1, 2, 3, 5), (-4, -1, 1, 2, 3), (-1, 1, 2, 4))
+        for a, b, c, d in grid:
+            try:
+                curve = validate_curve(a, b, c, d)
+            except DegenerateCurve:
+                continue
+            for point in box_search(SearchConfig(curve, coeff_bound=3, eps_bound=6)):
+                assert classify(curve, point).verdict is _reference_verdict(curve, point), point
+                loci = loci_from_signs(point)
+                if len(loci) == 2:
+                    pairs.add(loci)
+        assert len(pairs) == 6
+
+    @pytest.mark.parametrize("verdict", [v for v in Verdict if v not in FAMILY_FLAG])
+    def test_family_conic_rejects_non_family_verdict(self, curve, verdict):
+        with pytest.raises(DomainError):
+            family_conic(curve, verdict)
 
 
 class TestOracleEquivalence:

@@ -275,6 +275,14 @@ def test_squarefree_eps_range_matches_the_decomposition():
         assert _squarefree_eps_range(limit) == expected, limit
 
 
+def test_squarefree_eps_range_sieves_a_large_range(deadline):
+    # Trial division by every p*p with p <= isqrt(|e|) costs O(E^1.5), far
+    # past this deadline at E = 10^6; the sieve is near linear.
+    with deadline(2):
+        eps = _squarefree_eps_range(10**6)
+    assert len(eps) == 2 * 607926
+
+
 def test_squarefree_eps_range_factors_nothing(count_calls):
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
@@ -418,8 +426,10 @@ class TestSearchExceptional:
         assert direct == exceptional_in_box
 
     def test_second_curve_scan(self):
-        # The candidate list is complete under the admissibility hypothesis,
-        # so the scan runs with S covering the primes of c*d*(bc-ad) = -35.
+        # The hunt scans integral rational coordinates only (ROADMAP item 6
+        # and the strict xfail below), and this box has S empty, so every
+        # box coordinate is integral.  The hunt's S covers the primes of
+        # c*d*(bc-ad) = -35, which puts every shape's eps in its list.
         other = validate_curve(2, 3, 1, 5)
         admissible = SPrimeSet.of(5, 7)
         cfg = SearchConfig(other, admissible, coeff_bound=30, eps_bound=10)
