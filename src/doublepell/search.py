@@ -16,13 +16,21 @@ integer up to coeff_bound, so both searches work over the common
 denominator L = lcm(q): the coordinate is the integer n*(L/q), and box
 membership is one lookup in the set of those integers.  Both run in int,
 and each candidate is a QuadPoint of integer numerators over L.
+
+The box does not scan its radicands one at a time: with x = (X +
+V*sqrt(e))/L and y = (U + W*sqrt(e))/L, y^2 = a*x^2 + c splits into U*W =
+a*X*V, free of e, and U^2 - a*X^2 - c*L^2 = e*(a*V^2 - W^2), linear in e.
+So each pair (X, U) fixes e*V^2, and e is read off as the squarefree part
+of that integer: O(coeff_bound^2) integer tests and one O(eps_bound) sieve
+of squarefree integers, instead of O(coeff_bound^2) root tests per radicand.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from math import isqrt, lcm
 
 from .classify import Verdict, exceptional_eps_candidates, family_conic
@@ -65,15 +73,14 @@ class SUnitSolution:
     degenerate: bool
 
 
-def _squarefree_eps_range(limit: int) -> list[int]:
-    """The nonzero squarefree integers in [-limit, limit], found without
-    factoring: the multiples of each p*p are struck from a sieve."""
+def _squarefree_sieve(limit: int) -> bytearray:
+    """sieve[n] is 1 iff n is squarefree, for 0 <= n <= limit (sieve[0] is
+    0); found without factoring: the multiples of each p*p are struck."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = 0
     for p in range(2, isqrt(limit) + 1):
         sieve[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    positive = list(compress(range(limit + 1), sieve))
-    return [-e for e in reversed(positive)] + positive
+    return sieve
 
 
 def _point_key(p: QuadPoint):
@@ -172,6 +179,24 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
     canonical representative per orbit under independent signs of x, y and
     z and conjugation: (-X, -V) is x negated, (X, -V) with y and z
     conjugated is the conjugate point, and -(U, W) is y or z negated.
+
+    The y equation is solved for eps rather than scanned over it: its
+    sqrt(eps) part is U*W = a*X*V and its rational part U^2 - a*X^2 - c*L^2
+    = eps*(a*V^2 - W^2).  Rational points come from eps = 1 with V = 0.
+    For eps != 1, every solution falls in one case:
+
+    - X, V, U > 0: W = a*X*V/U, so eps*V^2 = kappa with kappa = (U^2 -
+      a*X^2 - c*L^2)*U^2 / (a*(U^2 - a*X^2)), one integer per (X, U) or
+      none; eps is its squarefree part.
+    - V = 0 and U = 0: eps*W^2 = a*X^2 + c*L^2.
+    - X = 0 and W = 0: eps*V^2 = (U^2 - c*L^2)/a.
+    - X = 0 and U = 0: eps = c*L^2/(W^2 - a*V^2), over (V, W).
+    - V = 0 and W = 0, so x and y are rational: z = Q*sqrt(eps)/L fixes
+      eps*Q^2 = b*X^2 + d*L^2.
+
+    Each split e*s^2 = k keeps s in the box and e squarefree with |e| <=
+    eps_bound, so the scan finds exactly the points a scan of every radicand
+    finds.  z comes from its root test at the eps found.
     """
     return _collect(cfg.curve, _box_candidates(cfg), "box")
 
@@ -215,21 +240,74 @@ def _box_candidates(cfg: SearchConfig):
     curve = cfg.curve
     L, box = _box(cfg)
     scan = sorted(n for n in box if n >= 0)
+    positive = scan[1:]
     a, b = curve.a, curve.b
     cL2, dL2 = curve.c * L * L, curve.d * L * L
-    for eps in _squarefree_eps_range(cfg.eps_bound):
-        # Rational points come from eps = 1 with V = 0.
-        for X in scan:
-            for V in scan if eps != 1 else (0,):
-                rx = X * X + eps * V * V
-                ix = 2 * X * V
-                ys = _box_roots(a * rx + cL2, a * ix, eps, box)
-                if not ys:
-                    continue
-                zs = _box_roots(b * rx + dL2, b * ix, eps, box)
-                for y_pair in ys:
-                    for z_pair in zs:
-                        yield QuadPoint._of_lift(eps, L, (X, V, *y_pair, *z_pair))
+    bound = cfg.eps_bound
+    sieve = _squarefree_sieve(bound)
+
+    def radicand(e: int) -> bool:
+        """e is a squarefree radicand other than 1 with |e| <= eps_bound."""
+        return e != 1 and abs(e) <= bound and sieve[abs(e)]
+
+    def split(k: int):
+        """The (e, s) with e*s^2 = k, s > 0 in the scan and radicand(e), or
+        None.  There is at most one, e being the squarefree part of k; every
+        s below isqrt(|k| // eps_bound) leaves |e| too large."""
+        n = abs(k)
+        for i in range(bisect_left(scan, max(1, isqrt(n // bound))), len(scan)):
+            s = scan[i]
+            if s * s > n:
+                break
+            e, rest = divmod(k, s * s)
+            if rest == 0 and radicand(e):
+                return e, s
+        return None
+
+    def lifts(e: int, X: int, V: int, U: int, W: int):
+        rz, iz = b * (X * X + e * V * V) + dL2, 2 * b * X * V
+        for z_pair in _box_roots(rz, iz, e, box):
+            yield QuadPoint._of_lift(e, L, (X, V, U, W, *z_pair))
+
+    for X in scan:
+        # V = 0.  With y rational too, eps = 1 gives the rational points and
+        # z = Q*sqrt(e)/L gives e*Q^2 = b*X^2 + d*L^2.  With y = W*sqrt(e)/L
+        # (U = 0), e*W^2 = a*X^2 + c*L^2; at X = 0 this is the X = U = 0 case
+        # with V = 0.
+        ry = a * X * X + cL2
+        U = _box_sqrt(ry, 1, box)
+        if U is not None:
+            yield from lifts(1, X, 0, U, 0)
+            if hit := split(b * X * X + dL2):
+                yield from lifts(hit[0], X, 0, U, 0)
+        if hit := split(ry):
+            yield from lifts(hit[0], X, 0, 0, hit[1])
+    for V in positive:
+        # X = 0, U = 0 and V > 0: e*(W^2 - a*V^2) = c*L^2.
+        aV2 = a * V * V
+        for W in scan:
+            m = W * W - aV2
+            if m and cL2 % m == 0 and radicand(e := cL2 // m):
+                yield from lifts(e, 0, V, 0, W)
+    for U in positive:
+        # X = 0 and W = 0: e*V^2 = (U^2 - c*L^2)/a.
+        k, rest = divmod(U * U - cL2, a)
+        if rest == 0 and (hit := split(k)):
+            yield from lifts(hit[0], 0, hit[1], U, 0)
+    for X in positive:
+        # X, V, U > 0: U*W = a*X*V, and e*V^2 = kappa.
+        aX2 = a * X * X
+        for U in positive:
+            D = U * U - aX2
+            if not D:
+                continue
+            kappa, rest = divmod((D - cL2) * U * U, a * D)
+            if rest or not (hit := split(kappa)):
+                continue
+            e, V = hit
+            W, rest = divmod(a * X * V, U)
+            if rest == 0 and W in box:
+                yield from lifts(e, X, V, U, W)
 
 
 def _square_scan(m: int, k: int, bound: int):

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -23,9 +24,12 @@ from doublepell import (
     verify_identities,
 )
 from doublepell.search import (
+    _box,
     _box_candidates,
+    _box_roots,
+    _collect,
     _exceptional_candidates,
-    _squarefree_eps_range,
+    _squarefree_sieve,
 )
 from doublepell.exactmath import squarefree_decompose
 
@@ -218,6 +222,25 @@ class TestBoxSearch:
         with deadline(10):
             assert box_search(cfg) == []
 
+    def test_wide_eps_bound_finishes(self, curve, deadline):
+        # One radicand at a time, this box took over 20 s for its 2 * 607,926
+        # radicands; solving each y root for its own eps scans it once.
+        cfg = SearchConfig(curve, coeff_bound=2, eps_bound=10**6)
+        with deadline(3):
+            points = box_search(cfg)
+        assert points == [QuadPoint.rational(0, 1, 1), QuadPoint.make(3, (1, 0), (0, 1), (2, 0))]
+
+    def test_wide_eps_bound_keeps_the_narrow_box(self, curve, deadline):
+        # Raising eps_bound only adds points of larger radicand: the wide
+        # scan, less its |eps| > 15 points (eps = 33 among them), is the
+        # eps_bound = 15 box.
+        primes = SPrimeSet.of(2, 3)
+        with deadline(3):
+            wide = box_search(SearchConfig(curve, primes, coeff_bound=8, eps_bound=100000))
+        narrow = box_search(SearchConfig(curve, primes, coeff_bound=8, eps_bound=15))
+        assert any(p.eps == 33 for p in wide)
+        assert [p for p in wide if abs(p.eps) <= 15] == narrow
+
 
 def s_smooth_up_to(bound, s_primes):
     """The integers 1..bound with no prime factor outside s_primes, found by
@@ -268,41 +291,133 @@ def naive_box_oracle(curve, eps_bound, coeff_bound, s_primes=SPrimeSet.empty()):
     return hits
 
 
-def test_squarefree_eps_range_matches_the_decomposition():
+def test_squarefree_sieve_matches_the_decomposition():
     squarefree = [e for e in range(-299, 300) if e and squarefree_decompose(e)[1] == e]
     for limit in range(300):
-        expected = [e for e in squarefree if abs(e) <= limit]
-        assert _squarefree_eps_range(limit) == expected, limit
+        sieve = _squarefree_sieve(limit)
+        got = [e for e in range(-299, 300) if abs(e) <= limit and sieve[abs(e)]]
+        assert got == [e for e in squarefree if abs(e) <= limit], limit
 
 
-def test_squarefree_eps_range_sieves_a_large_range(deadline):
+def test_squarefree_sieve_sieves_a_large_range(deadline):
     # Trial division by every p*p with p <= isqrt(|e|) costs O(E^1.5), far
     # past this deadline at E = 10^6; the sieve is near linear.
     with deadline(2):
-        eps = _squarefree_eps_range(10**6)
-    assert len(eps) == 2 * 607926
+        sieve = _squarefree_sieve(10**6)
+    assert sum(sieve) == 607926  # 2 * 607,926 radicands with |e| <= 10^6
 
 
-def test_squarefree_eps_range_factors_nothing(count_calls):
+def test_squarefree_sieve_factors_nothing(count_calls):
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
-    assert len(_squarefree_eps_range(200)) > 0
+    assert sum(_squarefree_sieve(200)) > 0
     assert counts == {"factorize": 0}
 
 
 def test_candidates_are_not_factored_again(count_calls):
-    # Both scans take eps from squarefree lists, the box from
-    # _squarefree_eps_range and the genus-1 hunt from products of distinct
-    # primes, so neither factors a candidate's eps; the hunt's one call
+    # Neither scan factors a candidate's eps: the box reads it off a split
+    # e*s^2 = k checked against _squarefree_sieve, and the genus-1 hunt
+    # takes it from products of distinct primes; the hunt's one call
     # factors bc - ad for those primes.
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
     box = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(2, 3), coeff_bound=8)
-    assert len(list(_box_candidates(box))) == 29
+    assert len(list(_box_candidates(box))) == 6
     assert counts == {"factorize": 0}
     hunt = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=5)
     assert list(_exceptional_candidates(hunt))
     assert counts == {"factorize": 1}
+
+
+def reference_box_candidates(cfg):
+    """The box scan one radicand at a time, as box_search ran before it
+    solved for eps: for each squarefree eps with |eps| <= eps_bound, every
+    X, V >= 0 in the box (V = 0 over eps = 1), with the y and z roots from
+    _box_roots.  O(eps_bound * coeff_bound^2) root tests."""
+    curve = cfg.curve
+    L, box = _box(cfg)
+    scan = sorted(n for n in box if n >= 0)
+    a, b = curve.a, curve.b
+    cL2, dL2 = curve.c * L * L, curve.d * L * L
+    limit = cfg.eps_bound
+    for eps in (e for e in range(-limit, limit + 1) if e and squarefree_decompose(e)[1] == e):
+        for X in scan:
+            for V in scan if eps != 1 else (0,):
+                rx = X * X + eps * V * V
+                ix = 2 * X * V
+                ys = _box_roots(a * rx + cL2, a * ix, eps, box)
+                if not ys:
+                    continue
+                zs = _box_roots(b * rx + dL2, b * ix, eps, box)
+                for y_pair in ys:
+                    for z_pair in zs:
+                        yield QuadPoint._of_lift(eps, L, (X, V, *y_pair, *z_pair))
+
+
+BOX_SHAPES = (
+    "body",
+    "x = 0",
+    "y = 0",
+    "eps from z",
+    "x = V*sqrt(eps), y rational",
+    "x rational, y = W*sqrt(eps)",
+    "x, y in sqrt(eps)*Q",
+    "S-denominator",
+    "square a",
+)
+
+
+def box_shapes(curve, point):
+    """The names in BOX_SHAPES that a point over eps != 1 shows."""
+    x, y = point.x, point.y
+    shapes = {"body"} if all(x) and y[0] else set()
+    if x == (0, 0):
+        shapes.add("x = 0")
+    if y == (0, 0):
+        shapes.add("y = 0")
+    if x[1] == y[1] == 0:
+        shapes.add("eps from z")
+    if x[0] == 0 and y[0] and y[1] == 0:
+        shapes.add("x = V*sqrt(eps), y rational")
+    if x[1] == 0 and y[0] == 0 and y[1]:
+        shapes.add("x rational, y = W*sqrt(eps)")
+    if x[0] == y[0] == 0 and x[1] and y[1]:
+        shapes.add("x, y in sqrt(eps)*Q")
+    if point.den > 1:
+        shapes.add("S-denominator")
+    if curve.a > 0 and isqrt(curve.a) ** 2 == curve.a:
+        shapes.add("square a")
+    return shapes
+
+
+def test_box_scan_matches_the_per_eps_reference():
+    # The scan that solves each y root for its own eps must give what the
+    # one-radicand-at-a-time scan gives, on every branch: the body X, V, U
+    # > 0, each edge where one of X, V, U, W is 0, eps read off z when x and
+    # y are both rational, squares a, S-denominators and eps_bound = 1.  On
+    # the two curves after the grid, a body root has W = aXV/U outside the
+    # box.
+    settings = [((), 4, 12), ((2,), 3, 6), ((2, 3), 3, 4), ((5,), 5, 6), ((), 6, 1)]
+    grid = product((-3, -2, -1, 1, 2, 4), (-1, 2, 3), (-2, -1, 1, 4, 9), (-1, 1, 2, 4))
+    configs = [
+        SearchConfig(validate_curve(*params), SPrimeSet.of(*primes), coeff_bound=coeff_bound,
+                     eps_bound=eps_bound)
+        for params in grid if params[0] * params[3] != params[1] * params[2]
+        for primes, coeff_bound, eps_bound in settings
+    ]
+    configs += [
+        SearchConfig(validate_curve(5, -1, 1, 2), SPrimeSet.of(2, 3), coeff_bound=3, eps_bound=6),
+        SearchConfig(validate_curve(5, 1, -4, 3), SPrimeSet.of(2, 3), coeff_bound=4, eps_bound=4),
+    ]
+    assert len(configs) > 1600
+    shapes = Counter()
+    for cfg in configs:
+        got = box_search(cfg)
+        assert got == _collect(cfg.curve, reference_box_candidates(cfg), "reference"), cfg
+        for point in got:
+            if point.eps != 1:
+                shapes.update(box_shapes(cfg.curve, point))
+    assert min(shapes[name] for name in BOX_SHAPES) > 0, shapes
 
 
 def test_box_matches_naive_oracle_small():
