@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
-from .curve import CurveParams, QuadPoint, SPrimeSet, SymPoint, sym_invariants
+from .curve import CurveParams, QuadPoint, SymPoint, sym_invariants
 from .errors import DomainError, PanicInvariant
-from .exactmath import factorize, isqrt_exact
+from .exactmath import isqrt_exact
 
 
 class Verdict(str, Enum):
@@ -189,21 +188,4 @@ def family_image(
     if n[2 * i + 1] or n[2 * j + 1] or A * S0 * S0 - B * T0 * T0 != C * L * L:
         raise PanicInvariant(f"family image of {point} fails its conic")
     return Fraction(n[2 * min(i, j)], L), Fraction(n[2 * max(i, j)], L)
-
-
-def exceptional_eps_candidates(curve: CurveParams, s_primes: SPrimeSet) -> list[int]:
-    """Every squarefree eps a genus-1 locus point could live over: prime
-    support inside (primes of bc-ad) union S union {-1}, excluding the
-    square classes of 1, a, b and ab."""
-    primes = sorted(set(factorize(curve.cross)) | set(s_primes.primes))
-    candidates = set()
-    for r in range(len(primes) + 1):
-        for combo in combinations(primes, r):
-            value = 1
-            for p in combo:
-                value *= p
-            for signed in (value, -value):
-                if signed != 1 and not _in_base_square_class(curve, signed):
-                    candidates.add(signed)
-    return sorted(candidates, key=lambda v: (abs(v), v))
 

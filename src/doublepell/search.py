@@ -6,23 +6,25 @@ that is the square root of an S-integer in s and t; one walk along the
 conic's lazy Pell stream enumerates each of the three families.
 
 box_search is an exhaustive independent oracle over a finite coefficient
-box.  The genus-1 locus hunt makes O(coeff_bound) square tests per shape
-and admissible radicand over integral rational coordinates only, so it
-misses box points whose scanned coordinates have an S-denominator
-(ROADMAP item 6).
+box.  The genus-1 locus hunt scans each shape's rational coordinate t over
+the integers 0..coeff_bound and reads the radicand off the value t fixes:
+O(coeff_bound) splits per shape, each O(|P|) divisions for the primes P of
+bc - ad and S.  Its points are integral, so it misses box points with an
+S-denominator (ROADMAP item 6).
 
 Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
-integer up to coeff_bound, so both searches work over the common
-denominator L = lcm(q): the coordinate is the integer n*(L/q), and box
-membership is one lookup in the set of those integers.  Both run in int,
-and each candidate is a QuadPoint of integer numerators over L.
+integer up to coeff_bound, so the box works over the common denominator L
+= lcm(q): the coordinate is the integer n*(L/q), and box membership is one
+lookup in the set of those integers.  It runs in int, and each candidate
+is a QuadPoint of integer numerators over L.
 
 The box does not scan its radicands one at a time: with x = (X +
 V*sqrt(e))/L and y = (U + W*sqrt(e))/L, y^2 = a*x^2 + c splits into U*W =
 a*X*V, free of e, and U^2 - a*X^2 - c*L^2 = e*(a*V^2 - W^2), linear in e.
 So each pair (X, U) fixes e*V^2, and e is read off as the squarefree part
-of that integer: O(coeff_bound^2) integer tests and one O(eps_bound) sieve
-of squarefree integers, instead of O(coeff_bound^2) root tests per radicand.
+of that integer: O(coeff_bound^2) integer tests and one sieve of
+squarefree integers up to the smaller of eps_bound and the largest such
+value, instead of O(coeff_bound^2) root tests per radicand.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
-from .classify import Verdict, exceptional_eps_candidates, family_conic
+from .classify import Verdict, _in_base_square_class, family_conic
 from .curve import (
     CurveParams,
     QuadPoint,
@@ -43,7 +45,7 @@ from .curve import (
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
-from .exactmath import isqrt_exact
+from .exactmath import factorize, isqrt_exact
 from .pell import _conic_stream
 
 # The family walk stops when t passes this cap, so a family with no further
@@ -201,8 +203,8 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
     return _collect(cfg.curve, _box_candidates(cfg), "box")
 
 
-def _box_sqrt(n: int, eps: int, box: frozenset[int]) -> int | None:
-    """The w >= 0 in the scaled box with eps*w^2 = n, or None."""
+def _box_sqrt(n: int, eps: int, box) -> int | None:
+    """The w >= 0 in box with eps*w^2 = n, or None."""
     w = isqrt_exact(n // eps) if n % eps == 0 else None
     return w if w in box else None
 
@@ -243,17 +245,21 @@ def _box_candidates(cfg: SearchConfig):
     positive = scan[1:]
     a, b = curve.a, curve.b
     cL2, dL2 = curve.c * L * L, curve.d * L * L
-    bound = cfg.eps_bound
+    # Every radicand the scan keeps divides a nonzero U^2 - a*X^2 - c*L^2 =
+    # e*(a*V^2 - W^2) or, on the z edge, b*X^2 + d*L^2; so the sieve stops at
+    # their largest size when eps_bound is larger.
+    B2 = scan[-1] ** 2
+    bound = min(cfg.eps_bound, max((1 + abs(a)) * B2 + abs(cL2), (1 + abs(b)) * B2 + abs(dL2)))
     sieve = _squarefree_sieve(bound)
 
     def radicand(e: int) -> bool:
-        """e is a squarefree radicand other than 1 with |e| <= eps_bound."""
+        """e is a squarefree radicand other than 1 with |e| <= bound."""
         return e != 1 and abs(e) <= bound and sieve[abs(e)]
 
     def split(k: int):
         """The (e, s) with e*s^2 = k, s > 0 in the scan and radicand(e), or
         None.  There is at most one, e being the squarefree part of k; every
-        s below isqrt(|k| // eps_bound) leaves |e| too large."""
+        s below isqrt(|k| // bound) leaves |e| too large."""
         n = abs(k)
         for i in range(bisect_left(scan, max(1, isqrt(n // bound))), len(scan)):
             s = scan[i]
@@ -310,57 +316,64 @@ def _box_candidates(cfg: SearchConfig):
                 yield from lifts(e, X, V, U, W)
 
 
-def _square_scan(m: int, k: int, bound: int):
-    """The pairs (s, r) with s = 0..bound, r >= 0 and r^2 = m*s^2 + k."""
-    roots = ((s, isqrt_exact(m * s * s + k)) for s in range(bound + 1))
-    return [(s, r) for s, r in roots if r is not None]
-
-
 def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:
-    """Hunt the genus-1 locus shapes over every admissible radicand.
+    """Hunt the genus-1 locus shapes, reading each radicand off the shape's
+    equations.
 
     Each shape puts one coordinate t in the base field and the other two in
-    sqrt(eps)*Q.  One curve equation ties t to one of them, u; scanning t or
-    u over the integers 0..coeff_bound with an exact square test finds its
-    integral solutions at O(coeff_bound) per shape and radicand.  The other
-    equation is a companion square condition on the third coordinate.
+    sqrt(eps)*Q.  The scan takes t over the integers 0..coeff_bound: t fixes
+    x^2 = X2, y^2 = a*X2 + c and z^2 = b*X2 + d, and the two that are not t^2
+    are eps times squares, so eps is the squarefree part of whichever is
+    nonzero.  That costs O(coeff_bound) splits per shape, each O(|P|)
+    divisions for the primes P of bc - ad and S, which support every eps.
+    The squares are integers and eps is squarefree, so both radical
+    coordinates are integral too.
 
-    The radicand candidates are supported on the primes of bc - ad together
-    with S.  The shapes whose rational coordinate is y or z force eps to
-    divide d or c instead, which S covers when it contains the primes of
-    c*d.  Even then a point whose t or u has an S-denominator is missed
-    (ROADMAP item 6); box_search stays the oracle.
+    The shapes whose rational coordinate is y or z force eps to divide d or
+    c instead, which S covers when it contains the primes of c*d.  A point
+    with an S-denominator is missed (ROADMAP item 6); box_search stays the
+    oracle.
     """
-    candidates = _exceptional_candidates(cfg)
-    return _collect(cfg.curve, (p for p in candidates if p.eps != 1), "exceptional")
+    return _collect(cfg.curve, _exceptional_candidates(cfg), "exceptional")
+
+
+def _radicand(n: int, primes) -> int | None:
+    """The squarefree e supported on primes and the sign with n = e*s^2 for
+    an integer s, or None; found by dividing out primes, without factoring."""
+    if n == 0:
+        return None
+    e, rest = (1 if n > 0 else -1), abs(n)
+    for p in primes:
+        while rest % (p * p) == 0:
+            rest //= p * p
+        if rest % p == 0:
+            rest //= p
+            e *= p
+    return e if isqrt_exact(rest) is not None else None
 
 
 def _exceptional_candidates(cfg: SearchConfig):
     curve = cfg.curve
-    bound = cfg.coeff_bound
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
-    L, box = _box(cfg)
-
-    def companion(eps: int, m: int):
-        """V = v*L for the v >= 0 in the box with eps*v^2 = m, or None."""
-        return _box_sqrt(m * L * L, eps, box)
-
-    for eps in exceptional_eps_candidates(curve, cfg.s_primes):
-        # x rational: eps*u^2 = a*t^2 + c, scanned as r^2 = eps*(a*t^2 + c);
-        # eps is squarefree, so eps | r and u = r/eps.  Companion
-        # eps*v^2 = b*t^2 + d.
-        for t, r in _square_scan(a * eps, c * eps, bound):
-            u = r // eps
-            if abs(u) <= bound and (v := companion(eps, b * t * t + d)) is not None:
-                yield QuadPoint._of_lift(eps, L, (t * L, 0, 0, u * L, 0, v))
-        # y rational: t^2 = a*eps*u^2 + c, companion eps*v^2 = b*eps*u^2 + d.
-        for u, t in _square_scan(a * eps, c, bound):
-            if t <= bound and (v := companion(eps, b * eps * u * u + d)) is not None:
-                yield QuadPoint._of_lift(eps, L, (0, u * L, t * L, 0, 0, v))
-        # z rational: t^2 = b*eps*u^2 + d, companion eps*v^2 = a*eps*u^2 + c.
-        for u, t in _square_scan(b * eps, d, bound):
-            if t <= bound and (v := companion(eps, a * eps * u * u + c)) is not None:
-                yield QuadPoint._of_lift(eps, L, (0, u * L, 0, v, t * L, 0))
+    box = range(cfg.coeff_bound + 1)
+    primes = sorted(set(factorize(curve.cross)) | set(cfg.s_primes.primes))
+    # The rational coordinate i = t and x^2 = (t^2 - C)/A for each shape.
+    shapes = ((0, 1, 0), (1, a, c), (2, b, d))
+    for t in box:
+        for i, A, C in shapes:
+            X2, rest = divmod(t * t - C, A)
+            if rest:
+                continue
+            squares = (X2, a * X2 + c, b * X2 + d)
+            j, k = (m for m in range(3) if m != i)
+            eps = _radicand(squares[j] or squares[k], primes)
+            if eps is None or eps == 1 or _in_base_square_class(curve, eps):
+                continue
+            u, v = _box_sqrt(squares[j], eps, box), _box_sqrt(squares[k], eps, box)
+            if u is not None and v is not None:
+                nums = [0] * 6
+                nums[2 * i], nums[2 * j + 1], nums[2 * k + 1] = t, u, v
+                yield QuadPoint._of_lift(eps, 1, nums)
 
 
 def sunit_solutions(s_primes: SPrimeSet, exp_bound: int) -> list[SUnitSolution]:

@@ -13,11 +13,11 @@ from doublepell import (
     box_search,
     classify,
     detect_degenerate,
-    exceptional_eps_candidates,
     factorize,
     family_image,
     loci_from_invariants,
     loci_from_signs,
+    search_exceptional,
     squarefree_decompose,
     sym_invariants,
     validate_curve,
@@ -237,23 +237,50 @@ class TestFamilyImage:
 
 
 class TestExceptionalEpsCandidates:
+    """The radicands the genus-1 hunt admits: squarefree, supported on the
+    primes of bc - ad and S, and neither 1 nor a square class of a, b or ab."""
+
+    @staticmethod
+    def hunt_eps(params, primes=(), coeff_bound=5):
+        cfg = SearchConfig(validate_curve(*params), SPrimeSet.of(*primes), coeff_bound=coeff_bound)
+        return {p.eps for p in search_exceptional(cfg)}
+
     def test_unit_cross_term(self, curve):
-        assert exceptional_eps_candidates(curve, SPrimeSet.empty()) == [-1]
+        # bc - ad = +-1 leaves eps = -1 alone.  On 2,3,1,1 the rational point
+        # (0, 1, 1) fits every shape with eps = 1, and the hunt drops it.
+        assert self.hunt_eps((2, 3, -1, -1)) == {-1}
+        cfg = SearchConfig(curve, coeff_bound=3)
+        assert QuadPoint.rational(0, 1, 1) in box_search(cfg)
+        assert QuadPoint.rational(0, 1, 1) not in search_exceptional(cfg)
 
     def test_prime_cross_term(self):
-        other = validate_curve(2, 3, 1, 5)
-        assert exceptional_eps_candidates(other, SPrimeSet.empty()) == [-1, -7, 7]
+        assert validate_curve(2, 3, 3, 2).cross == 5
+        assert self.hunt_eps((2, 3, 3, 2)) == {-1, 5}
 
-    def test_s_primes_join_but_base_classes_leave(self, curve):
-        assert exceptional_eps_candidates(curve, SPrimeSet.of(2)) == [-1, -2]
+    def test_s_primes_join_but_base_classes_leave(self):
+        # bc - ad = -8 on 2,3,2,7: eps = 7 needs 7 in S.  On 2,3,-4,2, bc - ad
+        # = -16 supports eps = 2 = a, whose x = sqrt(2), y = 0, z = 2*sqrt(2)
+        # the box finds and the hunt drops as KRational.
+        assert self.hunt_eps((2, 3, 2, 7)) == {-2, -1}
+        assert self.hunt_eps((2, 3, 2, 7), (7,)) == {-2, -1, 7}
+        other = validate_curve(2, 3, -4, 2)
+        witness = QuadPoint.make(2, (0, 1), (0, 0), (0, 2))
+        assert witness in box_search(SearchConfig(other, coeff_bound=4, eps_bound=10))
+        assert classify(other, witness).verdict is Verdict.K_RATIONAL
+        assert 2 not in self.hunt_eps((2, 3, -4, 2), (2,))
 
     def test_square_classes_always_excluded(self):
-        other = validate_curve(2, 3, 3, 17)  # bc - ad = -25
-        cands = exceptional_eps_candidates(other, SPrimeSet.of(2, 3))
-        assert 2 not in cands and 3 not in cands and 6 not in cands and 1 not in cands
-        assert 5 in cands and -1 in cands
+        # eps = 6 = ab on 2,3,-3,6 is supported on S and the primes 3, 7 of
+        # bc - ad; x = sqrt(6), y = 3, z = 2*sqrt(6) is in the box, not the hunt.
+        other = validate_curve(2, 3, -3, 6)
+        witness = QuadPoint.make(6, (0, 1), (3, 0), (0, 2))
+        assert witness in box_search(SearchConfig(other, coeff_bound=4, eps_bound=10))
+        assert classify(other, witness).verdict is Verdict.K_RATIONAL
+        assert not self.hunt_eps((2, 3, -3, 6), (2,)) & {1, 2, 3, 6}
+        assert self.hunt_eps((2, 3, 3, 17), (2, 3)) == {5}  # bc - ad = -25
 
     def test_matches_squarefree_reference(self):
+        found = 0
         for a in _GRID:
             for b in _GRID:
                 try:
@@ -268,6 +295,7 @@ class TestExceptionalEpsCandidates:
                         for k in range(len(support) + 1):
                             for combo in combinations(support, k):
                                 expected |= {math.prod(combo), -math.prod(combo)}
-                        expected = sorted(expected - excluded, key=lambda v: (abs(v), v))
-                        got = exceptional_eps_candidates(curve, SPrimeSet.of(*s_primes))
-                        assert got == expected, (a, b, s_primes)
+                        got = self.hunt_eps((a, b, 3, 2), s_primes)
+                        assert got <= expected - excluded, (a, b, s_primes)
+                        found += len(got)
+        assert found > 500

@@ -2,14 +2,18 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doublepell
 from doublepell.cli import _COMMANDS, _json_text, _options, main
 
 
@@ -173,6 +177,32 @@ class TestSearchCommand:
             "--eps-bound", "3", "--coeff-bound", "2", "--no-timing",
         )
         assert report["results"] == []
+
+    def test_huge_eps_bound_sieves_only_the_box(self, capsys):
+        # The squarefree sieve stops at the largest radicand the box can
+        # meet, not at eps_bound: sized at eps_bound it would take 10 GB
+        # here.  The child's address space is capped at 1 GB, so a sieve
+        # sized at eps_bound fails fast instead of filling memory.
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from doublepell.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["search", "--curve", "2,3,1,1", "--no-timing"]
+        src = str(Path(doublepell.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--eps-bound", "10000000000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        peak_kb = int(child.stderr.split()[-1])
+        assert peak_kb < 100 * 1024
+        narrow = run_json(capsys, *argv, "--eps-bound", "100")
+        assert json.loads(child.stdout)["results"] == narrow["results"]
 
     def test_primes_admit_denominators(self, capsys):
         report = run_json(

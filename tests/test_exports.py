@@ -9,11 +9,13 @@ def test_every_exported_name_resolves_once():
 
 
 def test_deleted_names_stay_gone():
-    for name in ("cross_check_sunit", "pell_compose"):
+    for name in ("cross_check_sunit", "pell_compose", "exceptional_eps_candidates"):
         assert name not in doublepell.__all__
         assert not hasattr(doublepell, name)
     assert not hasattr(doublepell.MultiQuad, "conjugate_under")
-    assert not hasattr(doublepell.search, "_s_unit_exponents")
+    assert not hasattr(doublepell.classify, "exceptional_eps_candidates")
+    for name in ("_s_unit_exponents", "_square_scan"):
+        assert not hasattr(doublepell.search, name)
 
 
 def test_factoring_limit_is_a_domain_error():

@@ -1,7 +1,8 @@
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 import pytest
@@ -17,21 +18,27 @@ from doublepell import (
     enumerate_family_xy,
     enumerate_family_xz,
     enumerate_family_yz,
+    factorize,
     on_curve,
     search_exceptional,
     sunit_solutions,
     validate_curve,
     verify_identities,
 )
+from doublepell.classify import _in_base_square_class, loci_from_signs
 from doublepell.search import (
     _box,
     _box_candidates,
     _box_roots,
+    _box_sqrt,
     _collect,
     _exceptional_candidates,
     _squarefree_sieve,
 )
-from doublepell.exactmath import squarefree_decompose
+from doublepell.exactmath import isqrt_exact, squarefree_decompose
+
+# The first 18 primes: 2^19 signed radicands for a hunt that lists them.
+EIGHTEEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 @pytest.fixture
@@ -214,9 +221,9 @@ class TestBoxSearch:
 
 
     def test_wide_box_scan_finishes(self, deadline):
-        # eps = -1 alone scans 1001^2 pairs (X, V) with X, V >= 0: a Fraction
-        # scan of the 2001^2 signed pairs was still running after 20 s.
-        # y^2 = 2x^2 + 3 has no point over Q (the Hilbert symbol (2, 3)_3 is
+        # The scan walks the 1001^2 pairs (X, U) with X, U >= 0 once for all
+        # radicands: a Fraction scan of the 2001^2 signed pairs (X, V) at
+        # eps = -1 alone was still running after 20 s.  y^2 = 2x^2 + 3 has no point over Q (the Hilbert symbol (2, 3)_3 is
         # -1), and none over Q(i) in this box.
         cfg = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=1000, eps_bound=1)
         with deadline(10):
@@ -316,9 +323,9 @@ def test_squarefree_sieve_factors_nothing(count_calls):
 
 def test_candidates_are_not_factored_again(count_calls):
     # Neither scan factors a candidate's eps: the box reads it off a split
-    # e*s^2 = k checked against _squarefree_sieve, and the genus-1 hunt
-    # takes it from products of distinct primes; the hunt's one call
-    # factors bc - ad for those primes.
+    # e*s^2 = k checked against _squarefree_sieve, and the genus-1 hunt off
+    # a split that divides out the primes of bc - ad and S; the hunt's one
+    # call factors bc - ad for those primes, however many primes S has.
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
     box = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(2, 3), coeff_bound=8)
@@ -327,6 +334,9 @@ def test_candidates_are_not_factored_again(count_calls):
     hunt = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=5)
     assert list(_exceptional_candidates(hunt))
     assert counts == {"factorize": 1}
+    wide = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(*EIGHTEEN_PRIMES), coeff_bound=3)
+    list(_exceptional_candidates(wide))
+    assert counts == {"factorize": 2}
 
 
 def reference_box_candidates(cfg):
@@ -456,19 +466,96 @@ def test_box_matches_naive_oracle_with_s_denominators(params, primes):
         assert QuadPoint.make(-2, (0, half), (0, 0), (0, half)) in got
 
 
+def hunt_radicands(curve, s_primes):
+    """Every squarefree eps a genus-1 locus point could live over, listed as
+    the hunt listed them before it read eps off each shape: the signed
+    products of distinct primes of bc - ad and S, less 1 and the square
+    classes of a, b and ab.  2^(k+1) products for k primes."""
+    primes = sorted(set(factorize(curve.cross)) | set(s_primes.primes))
+    candidates = set()
+    for r in range(len(primes) + 1):
+        for combo in combinations(primes, r):
+            for signed in (math.prod(combo), -math.prod(combo)):
+                if signed != 1 and not _in_base_square_class(curve, signed):
+                    candidates.add(signed)
+    return sorted(candidates, key=lambda v: (abs(v), v))
+
+
+def reference_hunt_candidates(cfg):
+    """The genus-1 hunt one radicand at a time, as search_exceptional ran
+    before it read eps off each shape: for each eps of hunt_radicands, each
+    shape scans an integral t or u over 0..coeff_bound with an exact square
+    test, and takes the companion coordinate from the box.
+    O(coeff_bound * 2^(k+1)) square tests."""
+    curve = cfg.curve
+    bound = cfg.coeff_bound
+    a, b, c, d = curve.a, curve.b, curve.c, curve.d
+    L, box = _box(cfg)
+
+    def square_scan(m, k):
+        """The (s, r) with s = 0..bound, r >= 0 and r^2 = m*s^2 + k."""
+        roots = ((s, isqrt_exact(m * s * s + k)) for s in range(bound + 1))
+        return [(s, r) for s, r in roots if r is not None]
+
+    def companion(eps, m):
+        return _box_sqrt(m * L * L, eps, box)
+
+    for eps in hunt_radicands(curve, cfg.s_primes):
+        # x rational: r^2 = eps*(a*t^2 + c), u = r/eps, companion z.
+        for t, r in square_scan(a * eps, c * eps):
+            u = r // eps
+            if abs(u) <= bound and (v := companion(eps, b * t * t + d)) is not None:
+                yield QuadPoint._of_lift(eps, L, (t * L, 0, 0, u * L, 0, v))
+        # y rational: t^2 = a*eps*u^2 + c, companion z.
+        for u, t in square_scan(a * eps, c):
+            if t <= bound and (v := companion(eps, b * eps * u * u + d)) is not None:
+                yield QuadPoint._of_lift(eps, L, (0, u * L, t * L, 0, 0, v))
+        # z rational: t^2 = b*eps*u^2 + d, companion y.
+        for u, t in square_scan(b * eps, d):
+            if t <= bound and (v := companion(eps, a * eps * u * u + c)) is not None:
+                yield QuadPoint._of_lift(eps, L, (0, u * L, 0, v, t * L, 0))
+
+
+def test_hunt_matches_the_per_radicand_reference():
+    # Reading eps off each shape must give what the scan of every listed
+    # radicand gives: every shape, the edge where the first radical
+    # coordinate is 0 (eps read off the second), S primes that bc - ad
+    # lacks, and coeff_bound both below and above the usual box.
+    grid = product((-4, -2, -1, 1, 2, 3, 5, 7), (-1, 2, 3, 5, 9), (-3, -1, 1, 2, 5),
+                   (-1, 1, 2, 6, 17))
+    settings = [((), 4), ((2,), 6), ((2, 3), 4), ((5, 7), 9)]
+    configs = [
+        SearchConfig(validate_curve(*params), SPrimeSet.of(*primes), coeff_bound=coeff_bound)
+        for params in grid if params[0] != params[1] and params[0] * params[3] != params[1] * params[2]
+        for primes, coeff_bound in settings
+    ]
+    assert len(configs) > 2000
+    shapes = Counter()
+    for cfg in configs:
+        got = search_exceptional(cfg)
+        reference = (p for p in reference_hunt_candidates(cfg) if p.eps != 1)
+        assert got == _collect(cfg.curve, reference, "reference"), cfg
+        for point in got:
+            for shape, first in (("x+", point.y), ("y+", point.x), ("z+", point.x)):
+                if shape in loci_from_signs(point):
+                    shapes[shape] += 1
+                    shapes["first = 0"] += first == (0, 0)
+    assert min(shapes[name] for name in ("x+", "y+", "z+", "first = 0")) > 0, shapes
+
+
 def naive_exceptional_oracle(curve, s_primes, bound):
     """Triple-loop oracle for the three genus-1 shapes, written independently
-    of the search module: integral t, u in [-bound, bound] and v among the
-    box coefficients, with both curve equations tested directly.  Maps each
-    canonical point found to the shape, "x", "y" or "z", whose coordinate is
-    rational."""
-    from doublepell import canonical_representative, exceptional_eps_candidates
+    of the search module: each radicand of hunt_radicands, integral t, u in
+    [-bound, bound] and v among the box coefficients, with both curve
+    equations tested directly.  Maps each canonical point found to the
+    shape, "x", "y" or "z", whose coordinate is rational."""
+    from doublepell import canonical_representative
 
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     span = range(-bound, bound + 1)
     vs = {Fraction(n, q) for n in span for q in s_smooth_up_to(bound, s_primes)}
     hits = {}
-    for eps in exceptional_eps_candidates(curve, s_primes):
+    for eps in hunt_radicands(curve, s_primes):
         for t in span:
             for u in span:
                 for v in vs:
@@ -507,6 +594,15 @@ class TestSearchExceptional:
                 shapes.update(expected.values())
         assert shapes == set("xyz")
 
+    def test_many_s_primes_stay_fast(self, curve, deadline):
+        # Listing the 2^19 signed radicands of 18 primes and scanning each
+        # shape once per radicand took about 4 s; reading eps off each
+        # scanned value costs O(|P|) divisions per t.
+        cfg = SearchConfig(curve, SPrimeSet.of(*EIGHTEEN_PRIMES), coeff_bound=3)
+        with deadline(0.5):
+            found = search_exceptional(cfg)
+        assert found == []
+
     def test_large_pell_unit_does_not_stall(self, deadline):
         # bc - ad = 29 makes eps = 29 a radicand, and the z-rational shape
         # t^2 - 261 u^2 = 2 has a Pell unit with y = 11891880: solved as a
@@ -541,10 +637,11 @@ class TestSearchExceptional:
         assert direct == exceptional_in_box
 
     def test_second_curve_scan(self):
-        # The hunt scans integral rational coordinates only (ROADMAP item 6
-        # and the strict xfail below), and this box has S empty, so every
-        # box coordinate is integral.  The hunt's S covers the primes of
-        # c*d*(bc-ad) = -35, which puts every shape's eps in its list.
+        # The hunt scans its rational coordinate and the first radical one
+        # over the integers only (ROADMAP item 6 and the strict xfail
+        # below), and this box has S empty, so every box coordinate is
+        # integral.  The hunt's S covers the primes of c*d*(bc-ad) = -35,
+        # so every shape's eps splits over them.
         other = validate_curve(2, 3, 1, 5)
         admissible = SPrimeSet.of(5, 7)
         cfg = SearchConfig(other, admissible, coeff_bound=30, eps_bound=10)
