@@ -213,19 +213,30 @@ def _json_chunks(value, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _leaf_rows(value: dict, prefix: str = ""):
+    """[dotted key, leaf] for each leaf of the nested dicts in value, as
+    bounds.nondegenerate or identity_summary.per_identity.linear_fgh.pass."""
+    for key, item in value.items():
+        if isinstance(item, dict):
+            yield from _leaf_rows(item, f"{prefix}{key}.")
+        else:
+            yield [prefix + key, item]
+
+
 def _emit(report: dict, args) -> None:
     """Write the report in the chosen format.  CSV holds one row per point
-    result, one per Pell solution, or one per summary field otherwise."""
+    result, one per Pell solution, or one per summary leaf otherwise."""
     if args.format == "csv" and "results" in report:
         text = _csv_text(_result_rows(report["results"]))
     elif args.format == "csv" and "solutions" in report:
         text = _csv_text([["x", "y"], *report["solutions"]])
     elif args.format == "csv":
-        text = _csv_text(
-            [key, value]
+        summary = {
+            key: value
             for key, value in report.items()
             if key not in ("command", "parameters", "curve", "timing")
-        )
+        }
+        text = _csv_text([["key", "value"], *_leaf_rows(summary)])
     else:
         text = _json_text(report) + "\n"
     if args.out:

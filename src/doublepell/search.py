@@ -21,10 +21,12 @@ is a QuadPoint of integer numerators over L.
 The box does not scan its radicands one at a time: with x = (X +
 V*sqrt(e))/L and y = (U + W*sqrt(e))/L, y^2 = a*x^2 + c splits into U*W =
 a*X*V, free of e, and U^2 - a*X^2 - c*L^2 = e*(a*V^2 - W^2), linear in e.
-So each pair (X, U) fixes e*V^2, and e is read off as the squarefree part
-of that integer: O(coeff_bound^2) integer tests and one sieve of
-squarefree integers up to the smaller of eps_bound and the largest such
-value, instead of O(coeff_bound^2) root tests per radicand.
+So each pair (X, U) fixes e*V^2 (e*W^2 when U = 0), and e is read off as
+the squarefree part of that integer; only X = U = 0, where x and y both
+lie in sqrt(e)*Q, takes a second pass, over (V, W).  That is
+O(coeff_bound^2) integer tests and one sieve of squarefree integers up to
+the smaller of eps_bound and the largest such value, instead of
+O(coeff_bound^2) root tests per radicand.
 """
 
 from __future__ import annotations
@@ -144,16 +146,8 @@ def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:
     integers q up to coeff_bound, and the box coordinates n/q with |n| <=
     coeff_bound scaled by L, as the integers n*(L/q).  A rational r lies in
     the box iff r*L is an integer in the set."""
-    bound = cfg.coeff_bound
-    dens = {1}
-    for p in sorted(cfg.s_primes.primes):
-        extra = set()
-        for base in dens:
-            value = base * p
-            while value <= bound:
-                extra.add(value)
-                value *= p
-        dens |= extra
+    bound, primes = cfg.coeff_bound, cfg.s_primes.primes
+    dens = [q for q in range(1, bound + 1) if _is_s_smooth(q, primes)]
     L = lcm(*dens)
     return L, frozenset(n * (L // q) for q in dens for n in range(-bound, bound + 1))
 
@@ -183,22 +177,21 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
     conjugated is the conjugate point, and -(U, W) is y or z negated.
 
     The y equation is solved for eps rather than scanned over it: its
-    sqrt(eps) part is U*W = a*X*V and its rational part U^2 - a*X^2 - c*L^2
-    = eps*(a*V^2 - W^2).  Rational points come from eps = 1 with V = 0.
-    For eps != 1, every solution falls in one case:
+    sqrt(eps) part is U*W = a*X*V and its rational part D - c*L^2 =
+    eps*(a*V^2 - W^2), D = U^2 - a*X^2.  Every solution falls in one case:
 
-    - X, V, U > 0: W = a*X*V/U, so eps*V^2 = kappa with kappa = (U^2 -
-      a*X^2 - c*L^2)*U^2 / (a*(U^2 - a*X^2)), one integer per (X, U) or
-      none; eps is its squarefree part.
-    - V = 0 and U = 0: eps*W^2 = a*X^2 + c*L^2.
-    - X = 0 and W = 0: eps*V^2 = (U^2 - c*L^2)/a.
-    - X = 0 and U = 0: eps = c*L^2/(W^2 - a*V^2), over (V, W).
-    - V = 0 and W = 0, so x and y are rational: z = Q*sqrt(eps)/L fixes
-      eps*Q^2 = b*X^2 + d*L^2.
+    - V = W = 0, so x and y are rational: eps = 1 gives the rational
+      points, and z = Q*sqrt(eps)/L fixes eps*Q^2 = b*X^2 + d*L^2.
+    - Else U > 0: W = a*X*V/U, so eps*V^2 = kappa with kappa = (D -
+      c*L^2)*U^2/(a*D), one integer per (X, U) or none; eps is its
+      squarefree part.  D = 0 has no solution, as c != 0.
+    - Else U = 0: X*V = 0 and eps*(W^2 - a*V^2) = a*X^2 + c*L^2, over X
+      with V = 0 and over (V, W) with X = 0.
 
-    Each split e*s^2 = k keeps s in the box and e squarefree with |e| <=
-    eps_bound, so the scan finds exactly the points a scan of every radicand
-    finds.  z comes from its root test at the eps found.
+    So one pass over (X, U) and one over (V, W) with X = U = 0 cover the
+    box.  Each split e*s^2 = k keeps s in the box and e squarefree with
+    |e| <= eps_bound, so the scan finds exactly the points a scan of every
+    radicand finds.  z comes from its root test at the eps found.
     """
     return _collect(cfg.curve, _box_candidates(cfg), "box")
 
@@ -218,8 +211,8 @@ def _box_roots(r: int, i: int, eps: int, box: frozenset[int]) -> list[tuple[int,
     """
     if i == 0:
         # U*W = 0: U^2 = r, or eps*W^2 = r.  Over eps = 1 both (u, 0) and
-        # (0, u) come back; QuadPoint._of_squarefree folds them into one
-        # rational point, and _collect drops the repeat.
+        # (0, u) come back; QuadPoint._of_lift, which lifts calls, folds
+        # them into one rational point, and _collect drops the repeat.
         roots = {(_box_sqrt(r, 1, box), 0), (0, _box_sqrt(r, eps, box))}
         return [root for root in roots if None not in root]
     s = isqrt_exact(r * r - eps * i * i)
@@ -276,18 +269,32 @@ def _box_candidates(cfg: SearchConfig):
             yield QuadPoint._of_lift(e, L, (X, V, U, W, *z_pair))
 
     for X in scan:
-        # V = 0.  With y rational too, eps = 1 gives the rational points and
-        # z = Q*sqrt(e)/L gives e*Q^2 = b*X^2 + d*L^2.  With y = W*sqrt(e)/L
-        # (U = 0), e*W^2 = a*X^2 + c*L^2; at X = 0 this is the X = U = 0 case
-        # with V = 0.
-        ry = a * X * X + cL2
-        U = _box_sqrt(ry, 1, box)
-        if U is not None:
-            yield from lifts(1, X, 0, U, 0)
-            if hit := split(b * X * X + dL2):
-                yield from lifts(hit[0], X, 0, U, 0)
-        if hit := split(ry):
+        # U = 0: U*W = a*X*V forces V = 0 when X > 0, and the (V, W) loop
+        # below takes X = 0 with V > 0.  So V = 0, y = W*sqrt(e)/L and
+        # e*W^2 = a*X^2 + c*L^2, read once per X.
+        aX2 = a * X * X
+        if hit := split(aX2 + cL2):
             yield from lifts(hit[0], X, 0, 0, hit[1])
+        for U in scan:
+            D = U * U - aX2
+            if D == cL2:
+                # V = W = 0, so x and y are rational: eps = 1 gives the
+                # rational points, and z = Q*sqrt(e)/L gives e*Q^2 = b*X^2 +
+                # d*L^2.
+                yield from lifts(1, X, 0, U, 0)
+                if hit := split(b * X * X + dL2):
+                    yield from lifts(hit[0], X, 0, U, 0)
+            elif D:
+                # W = a*X*V/U and e*V^2 = kappa; W = 0 at X = 0.  U = 0
+                # leaves kappa = 0, which split rejects, so W never divides
+                # by 0.
+                kappa, rest = divmod((D - cL2) * U * U, a * D)
+                if rest or not (hit := split(kappa)):
+                    continue
+                e, V = hit
+                W, rest = divmod(a * X * V, U)
+                if rest == 0 and W in box:
+                    yield from lifts(e, X, V, U, W)
     for V in positive:
         # X = 0, U = 0 and V > 0: e*(W^2 - a*V^2) = c*L^2.
         aV2 = a * V * V
@@ -295,25 +302,6 @@ def _box_candidates(cfg: SearchConfig):
             m = W * W - aV2
             if m and cL2 % m == 0 and radicand(e := cL2 // m):
                 yield from lifts(e, 0, V, 0, W)
-    for U in positive:
-        # X = 0 and W = 0: e*V^2 = (U^2 - c*L^2)/a.
-        k, rest = divmod(U * U - cL2, a)
-        if rest == 0 and (hit := split(k)):
-            yield from lifts(hit[0], 0, hit[1], U, 0)
-    for X in positive:
-        # X, V, U > 0: U*W = a*X*V, and e*V^2 = kappa.
-        aX2 = a * X * X
-        for U in positive:
-            D = U * U - aX2
-            if not D:
-                continue
-            kappa, rest = divmod((D - cL2) * U * U, a * D)
-            if rest or not (hit := split(kappa)):
-                continue
-            e, V = hit
-            W, rest = divmod(a * X * V, U)
-            if rest == 0 and W in box:
-                yield from lifts(e, X, V, U, W)
 
 
 def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:

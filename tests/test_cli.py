@@ -373,6 +373,36 @@ class TestBoundsCommand:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("bounds", "--s", "1", "--H", "1"), "bounds.nondegenerate"),
+            (("verify", "--curve", "2,3,1,1", "--count", "5"),
+             "identity_summary.per_identity.linear_fgh.pass"),
+        ],
+    )
+    def test_summary_csv_rows_are_the_json_leaves(self, capsys, argv, key):
+        # A summary CSV has one key,value row per leaf of the JSON report,
+        # its key the dotted path to the leaf, not a dict printed as text.
+        report = run_json(capsys, *argv, "--no-timing")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--no-timing")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+
+        def leaves(value, path):
+            if not isinstance(value, dict):
+                return [(path, str(value))]
+            return [leaf for name, item in value.items() for leaf in leaves(item, f"{path}.{name}")]
+
+        expected = [
+            leaf
+            for name, value in report.items()
+            if name not in ("command", "parameters", "curve")
+            for leaf in leaves(value, name)
+        ]
+        assert [(row["key"], row["value"]) for row in rows] == expected
+        assert key in dict(expected)
+
     def test_deterministic_output_without_timing(self, capsys):
         first = run_cli(
             capsys, "families", "--curve", "2,3,1,1", "--count", "3", "--no-timing"
