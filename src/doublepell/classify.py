@@ -83,41 +83,36 @@ def loci_from_invariants(curve: CurveParams, sym: SymPoint) -> frozenset[str]:
     return frozenset(loci)
 
 
-def loci_from_signs(point: QuadPoint) -> frozenset[str]:
-    """Locus membership read directly off the coordinates.
+def _conjugation(point: QuadPoint) -> list[tuple[bool, bool]]:
+    """Per coordinate, (negated, fixed) under conjugation: a coordinate is
+    negated iff its rational part vanishes and fixed iff its radical part
+    vanishes; a zero coordinate is both."""
+    return [(u == 0, v == 0) for u, v in zip(point.nums[0::2], point.nums[1::2])]
 
-    A coordinate is fixed by conjugation iff its radical part vanishes and
-    negated iff its rational part vanishes; zero coordinates are both.
-    """
-    nx, fx, ny, fy, nz, fz = (n == 0 for n in point.nums)
+
+def loci_from_signs(point: QuadPoint) -> frozenset[str]:
+    """Locus membership read directly off the coordinates: "k-" when
+    conjugation negates coordinate k and fixes the other two, "k+" when it
+    fixes k and negates the other two."""
+    parts = _conjugation(point)
     loci = set()
-    if nx and fy and fz:
-        loci.add("x-")
-    if fx and ny and nz:
-        loci.add("x+")
-    if fx and ny and fz:
-        loci.add("y-")
-    if nx and fy and nz:
-        loci.add("y+")
-    if fx and fy and nz:
-        loci.add("z-")
-    if nx and ny and fz:
-        loci.add("z+")
+    for k, axis in enumerate("xyz"):
+        negated, fixed = parts[k]
+        others = [parts[m] for m in range(3) if m != k]
+        if negated and all(f for _, f in others):
+            loci.add(axis + "-")
+        if fixed and all(n for n, _ in others):
+            loci.add(axis + "+")
     return frozenset(loci)
 
 
 def _sign_pattern(point: QuadPoint) -> tuple[str, str, str] | None:
     """Coordinate-wise behavior under conjugation: "+" fixed, "-" negated;
     None when some coordinate is neither (mixed parts)."""
-    symbols = []
-    for u, v in zip(point.nums[0::2], point.nums[1::2]):
-        if v == 0:
-            symbols.append("+")
-        elif u == 0:
-            symbols.append("-")
-        else:
-            return None
-    return tuple(symbols)
+    symbols = tuple(
+        "+" if fixed else "-" if negated else None for negated, fixed in _conjugation(point)
+    )
+    return None if None in symbols else symbols
 
 
 def _in_base_square_class(curve: CurveParams, n: int) -> bool:

@@ -12,7 +12,6 @@ import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import Iterable
 
@@ -383,25 +382,21 @@ def compute_bounds(s: int, H: int) -> tuple[int, int]:
 def canonical_representative(point: QuadPoint) -> QuadPoint:
     """Deterministic representative of the orbit of `point` under coordinate
     sign flips and conjugation: the variant with lexicographically maximal
-    (u, v) sequence, which puts nonnegative entries first.
+    (u, v) sequence, in closed form.
 
-    Every variant's numerator is +-|numerator| over the same denominator,
-    so two variants compare as their sign sequences do: the signs (sx, sy,
-    sz, tau) are chosen on integer sign tuples, and the numerators are
-    flipped to match.  Sign flips keep den least and the radical parts
-    nonzero, so the winner needs no canonicalization through make().
+    Every rational part is made nonnegative, and so is every radical part
+    whose rational part is 0.  Conjugation is set by the first coordinate
+    with both parts nonzero, so that its radical part is positive, and that
+    fixes the other radical parts.  So a point with no such coordinate, as
+    a family point, is canonical once its parts are nonnegative.  Sign
+    flips keep den least and the radical parts nonzero: no make() needed.
     """
-    signs = [(n > 0) - (n < 0) for n in point.nums]
-    sx, sy, sz, tau = max(
-        product((1, -1), repeat=4),
-        key=lambda t: (
-            t[0] * signs[0], t[0] * t[3] * signs[1],
-            t[1] * signs[2], t[1] * t[3] * signs[3],
-            t[2] * signs[4], t[2] * t[3] * signs[5],
-        ),
-    )
-    flips = (sx, sx * tau, sy, sy * tau, sz, sz * tau)
-    return QuadPoint(point.eps, point.den, tuple(n * f for n, f in zip(point.nums, flips)))
+    pairs = list(zip(point.nums[0::2], point.nums[1::2]))
+    tau = next((1 if (u > 0) == (v > 0) else -1 for u, v in pairs if u and v), 1)
+    nums = []
+    for u, v in pairs:
+        nums += (abs(u), v * tau if u > 0 else -v * tau) if u else (0, abs(v))
+    return QuadPoint(point.eps, point.den, tuple(nums))
 
 
 def pair_key(point: QuadPoint):

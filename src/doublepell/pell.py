@@ -217,8 +217,8 @@ def _conic_stream(A: int, B: int, C: int, zmax: int):
     """Nonnegative solutions (y, z) of A*y^2 - B*z^2 = C with z <= zmax,
     lazily, in strictly ascending z: u = A*y on u^2 - (A*B)*z^2 = A*C, its
     branches walked up to zmax and merged by z, less the repeat an ambiguous
-    class yields (each z has at most one u >= 0).  zmax also ends a walk
-    where A divides no u."""
+    class yields (each z has at most one u >= 0); y = u/|A| >= 0 for either
+    sign of A.  zmax also ends a walk where A divides no u."""
     branches = _branches(pell_classes(PellProblem(A * B, A * C)), zmax)
     last = -1
     for u, z in heapq.merge(*branches, key=itemgetter(1)):
@@ -226,7 +226,7 @@ def _conic_stream(A: int, B: int, C: int, zmax: int):
             continue
         last = z
         if u % A == 0:
-            y = u // A
+            y = u // abs(A)
             if A * y * y - B * z * z != C:
                 raise PanicInvariant("conic substitution produced a bad pair")
             yield y, z

@@ -91,20 +91,26 @@ def _point_key(p: QuadPoint):
     return (abs(p.eps), p.eps, p.flat())
 
 
-def _walk_family(cfg: SearchConfig, verdict: Verdict, third) -> list[QuadPoint]:
+def _walk_family(cfg: SearchConfig, verdict: Verdict) -> list[QuadPoint]:
     """Points over the integral (s, t) on the family's conic A*s^2 - B*t^2 =
     C, s and t at the coordinates i and j that family_conic gives, in
-    ascending t until family_count points or t > _PELL_Y_CAP; canonical
-    representatives.
+    ascending t until family_count points or t > _PELL_Y_CAP.
 
-    The third coordinate is sqrt(r), r = third(s, t), and a step is kept
-    when r is an S-integer, its denominator supported on S.
+    The third coordinate k is sqrt(r), r = (x^2, a*x^2 + c, b*x^2 + d)[k]
+    with x^2 = t^2 when x is walked (j = 0), else (y^2 - c)/a; a step is
+    kept when r is an S-integer.  Each point is canonical as built:
+    _conic_stream yields s, t >= 0, and sqrt(r) is 0, has radical part
+    1/q > 0, or is rational and positive once make() folds a square in.
     """
+    a, b, c, d = cfg.curve.a, cfg.curve.b, cfg.curve.c, cfg.curve.d
     i, j, *conic = family_conic(cfg.curve, verdict)
+    k = 3 - i - j
     primes = cfg.s_primes.primes
     points = []
     for s, t in _conic_stream(*conic, _PELL_Y_CAP):
-        r = third(s, t)
+        x2 = t * t if j == 0 else Fraction(s * s - c, a)
+        # Only the k-th square: for yz, x2 is a Fraction.
+        r = x2 if k == 0 else a * x2 + c if k == 1 else b * x2 + d
         if not _is_s_smooth(r.denominator, primes):
             continue
         # sqrt(p/q) = sqrt(p*q)/q: make() folds the square part of p*q into
@@ -113,7 +119,7 @@ def _walk_family(cfg: SearchConfig, verdict: Verdict, third) -> list[QuadPoint]:
         p, q = r.numerator, r.denominator
         coords = [(0, Fraction(1, q) if q > 1 else 1) if p else (0, 0)] * 3
         coords[i], coords[j] = (s, 0), (t, 0)
-        points.append(canonical_representative(QuadPoint.make(p * q or 1, *coords)))
+        points.append(QuadPoint.make(p * q or 1, *coords))
         if len(points) == cfg.family_count:
             break
     return points
@@ -122,23 +128,20 @@ def _walk_family(cfg: SearchConfig, verdict: Verdict, third) -> list[QuadPoint]:
 def enumerate_family_xy(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral solutions of y^2 = a x^2 + c, with z completed
     as sqrt(b x^2 + d); ascending x, canonical representatives."""
-    b, d = cfg.curve.b, cfg.curve.d
-    return _walk_family(cfg, Verdict.FAMILY_XY, lambda y, x: b * x * x + d)
+    return _walk_family(cfg, Verdict.FAMILY_XY)
 
 
 def enumerate_family_xz(cfg: SearchConfig) -> list[QuadPoint]:
     """Mirror of the xy family: integral (x, z) on z^2 = b x^2 + d with y
     completed as sqrt(a x^2 + c)."""
-    a, c = cfg.curve.a, cfg.curve.c
-    return _walk_family(cfg, Verdict.FAMILY_XZ, lambda z, x: a * x * x + c)
+    return _walk_family(cfg, Verdict.FAMILY_XZ)
 
 
 def enumerate_family_yz(cfg: SearchConfig) -> list[QuadPoint]:
     """Points over integral (y, z) with b y^2 - a z^2 = bc - ad, keeping the
     subsequence where x^2 = (y^2 - c)/a is an S-integer; ascending z,
     canonical representatives."""
-    a, c = cfg.curve.a, cfg.curve.c
-    return _walk_family(cfg, Verdict.FAMILY_YZ, lambda y, z: Fraction(y * y - c, a))
+    return _walk_family(cfg, Verdict.FAMILY_YZ)
 
 
 def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:
@@ -154,7 +157,11 @@ def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:
 
 def _collect(curve: CurveParams, candidates, source: str) -> list[QuadPoint]:
     """The candidates, each checked on the curve, as canonical
-    representatives without repeats, sorted by _point_key."""
+    representatives without repeats, sorted by _point_key.  The box and the
+    hunt, its callers, build their candidates canonical too: every rational
+    part, and every radical part beside a rational 0, is >= 0, and a box
+    candidate's y or z has both parts nonzero only when its x does, with X,
+    V > 0.  The call keeps repeats out whatever signs a scan builds."""
     reps = set()
     for point in candidates:
         if not on_curve(curve, point):

@@ -625,6 +625,16 @@ class TestWorkPerPoint:
         assert records == 60
         assert counts == {"pell_classes": 3, "make": records}
 
+    def test_family_walks_make_no_canonicalizing_call(self, capsys, count_calls):
+        # Each family point is canonical as QuadPoint.make builds it.
+        counts = {"canonical_representative": 0}
+        count_calls(counts, "doublepell.curve", "canonical_representative")
+        report = run_json(
+            capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
+        )
+        assert len(report["results"]) == 60
+        assert counts == {"canonical_representative": 0}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -124,8 +124,23 @@ class TestAgainstOracles:
 
     def test_canonical_representative_agrees_on_every_variant(self, corpus):
         # The oracle maximizes over the whole orbit, which every variant
-        # shares, so one oracle value serves all 16.
-        for _, point in corpus:
+        # shares, so one oracle value serves all 16.  The corpus has 0 or 3
+        # coordinates with both parts nonzero ("mixed"); the closed form
+        # needs no curve, so off-curve points add 1 and 2 mixed coordinates,
+        # zero coordinates beside them, and a first mixed coordinate whose
+        # parts have opposite signs, as its variants have too.
+        extra = [
+            QuadPoint._of_squarefree(5, (2, 3), (0, 1), (4, 0)),
+            QuadPoint._of_squarefree(-2, (0, 0), (1, -1), (3, 0)),
+            QuadPoint._of_squarefree(7, (0, 2), (1, 3), (5, -2)),
+            QuadPoint._of_squarefree(3, (-1, SEVENTH), (0, 0), (2, 1)),
+        ]
+        points = [point for _, point in corpus] + extra
+        pairs = [list(zip(p.nums[0::2], p.nums[1::2])) for p in points]
+        assert {sum(bool(u and v) for u, v in pair) for pair in pairs} == {0, 1, 2, 3}
+        assert any((0, 0) in pair and any(u and v for u, v in pair) for pair in pairs)
+        assert any(next((u * v for u, v in pair if u and v), 0) < 0 for pair in pairs)
+        for point in points:
             expected = oracle_canonical_representative(point)
             for variant in variants(point):
                 assert canonical_representative(variant) == expected, variant

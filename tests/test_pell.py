@@ -12,6 +12,7 @@ from doublepell import (
     pell_iterate,
     solve_conic,
 )
+from doublepell.pell import _conic_stream
 
 
 def brute_force_pell(D, N, bound):
@@ -204,3 +205,9 @@ class TestSolveConic:
     def test_rejects_zero_coefficients(self):
         with pytest.raises(DomainError):
             solve_conic(0, 2, 1, 10)
+
+    def test_stream_yields_nonnegative_y_for_negative_a(self):
+        # The stream walks u = A*y >= 0, so y = u/A would be -1 here, and
+        # negative on 2y^2 - 3z^2 = 5 written with A = -2.
+        assert list(_conic_stream(-1, 2, -1, 10)) == [(1, 0)]
+        assert list(_conic_stream(-2, -3, -5, 50)) == [(2, 1), (4, 3), (16, 13), (38, 31)]

@@ -14,6 +14,7 @@ from doublepell import (
     SearchConfig,
     Verdict,
     box_search,
+    canonical_representative,
     classify,
     enumerate_family_xy,
     enumerate_family_xz,
@@ -150,6 +151,16 @@ FAMILY_WALKS = {
 }
 
 
+def family_walk_grid():
+    """The (curve, S) grid the family walks are checked on."""
+    for a, b, c, d in product((-2, -1, 2, 3, 5), (-1, 2, 3, 5, 7), (-2, -1, 1, 3), (-1, 1, 2, 3)):
+        if a == b or a * d == b * c:
+            continue
+        curve = validate_curve(a, b, c, d)
+        for s_primes in (SPrimeSet.empty(), SPrimeSet.of(2), SPrimeSet.of(2, 3)):
+            yield curve, s_primes
+
+
 def test_family_walks_match_a_naive_scan():
     # Each walk must emit, in ascending t, exactly the conic points a scan of
     # every integral t finds, less (for yz) those whose x^2 = (y^2 - c)/a
@@ -159,26 +170,41 @@ def test_family_walks_match_a_naive_scan():
     # without 2.
     bound, count = 2000, 4
     walks = 0
-    for a, b, c, d in product((-2, -1, 2, 3, 5), (-1, 2, 3, 5, 7), (-2, -1, 1, 3), (-1, 1, 2, 3)):
-        if a == b or a * d == b * c:
-            continue
-        curve = validate_curve(a, b, c, d)
-        for s_primes in (SPrimeSet.empty(), SPrimeSet.of(2), SPrimeSet.of(2, 3)):
-            cfg = SearchConfig(curve, s_primes, family_count=count)
-            for name, (enumerate_family, conic, pair) in FAMILY_WALKS.items():
-                points = enumerate_family(cfg)
-                walked = [pair(p) for p in points]
-                assert all(on_curve(curve, p) for p in points)
-                assert all(v.denominator == 1 for w in walked for v in w)
-                limit = min(int(walked[-1][1]), bound) if len(walked) == count else bound
-                expected = [
-                    (s, t)
-                    for s, t in naive_conic_points(*conic(a, b, c, d), limit)
-                    if name != "yz" or is_s_smooth(Fraction(s * s - c, a).denominator, s_primes)
-                ]
-                assert [w for w in walked if w[1] <= limit] == expected, (name, curve, s_primes)
-                walks += 1
+    for curve, s_primes in family_walk_grid():
+        a, b, c, d = curve.a, curve.b, curve.c, curve.d
+        cfg = SearchConfig(curve, s_primes, family_count=count)
+        for name, (enumerate_family, conic, pair) in FAMILY_WALKS.items():
+            points = enumerate_family(cfg)
+            walked = [pair(p) for p in points]
+            assert all(on_curve(curve, p) for p in points)
+            assert all(v.denominator == 1 for w in walked for v in w)
+            limit = min(int(walked[-1][1]), bound) if len(walked) == count else bound
+            expected = [
+                (s, t)
+                for s, t in naive_conic_points(*conic(a, b, c, d), limit)
+                if name != "yz" or is_s_smooth(Fraction(s * s - c, a).denominator, s_primes)
+            ]
+            assert [w for w in walked if w[1] <= limit] == expected, (name, curve, s_primes)
+            walks += 1
     assert walks > 2000
+
+
+def test_family_walks_emit_canonical_points():
+    # Each walk builds its points canonical, s, t >= 0 and the third
+    # coordinate 0 or purely radical with a positive part, and calls no
+    # canonical_representative.  The extra curves give the yz walk A = b
+    # below -1 and the xz walk a bounded conic.
+    extra = [(validate_curve(*params), SPrimeSet.of(2)) for params in (
+        (-3, -5, 1, 1), (-3, -2, 1, 2), (2, -3, 1, 5),
+    )]
+    points = 0
+    for curve, s_primes in [*family_walk_grid(), *extra]:
+        cfg = SearchConfig(curve, s_primes, family_count=4)
+        for enumerate_family, _, _ in FAMILY_WALKS.values():
+            for point in enumerate_family(cfg):
+                assert canonical_representative(point) == point, (curve, point)
+                points += 1
+    assert points > 2000
 
 
 class TestBoxSearch:
