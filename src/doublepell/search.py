@@ -24,9 +24,8 @@ a*X*V, free of e, and U^2 - a*X^2 - c*L^2 = e*(a*V^2 - W^2), linear in e.
 So each pair (X, U) fixes e*V^2 (e*W^2 when U = 0), and e is read off as
 the squarefree part of that integer; only X = U = 0, where x and y both
 lie in sqrt(e)*Q, takes a second pass, over (V, W).  That is
-O(coeff_bound^2) integer tests and one sieve of squarefree integers up to
-the smaller of eps_bound and the largest such value, instead of
-O(coeff_bound^2) root tests per radicand.
+O(coeff_bound^2) integer tests, each e tested for squarefreeness where the
+scan meets it, instead of O(coeff_bound^2) root tests per radicand.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .curve import (
     QuadPoint,
     SPrimeSet,
     _is_s_smooth,
-    canonical_representative,
     on_curve,
 )
 from .errors import DomainError, PanicInvariant
@@ -77,14 +75,18 @@ class SUnitSolution:
     degenerate: bool
 
 
-def _squarefree_sieve(limit: int) -> bytearray:
-    """sieve[n] is 1 iff n is squarefree, for 0 <= n <= limit (sieve[0] is
-    0); found without factoring: the multiples of each p*p are struck."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = 0
-    for p in range(2, isqrt(limit) + 1):
-        sieve[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    return sieve
+def _is_squarefree(n: int) -> bool:
+    """n is nonzero with no square factor above 1; found without factoring, by
+    dividing out each p while p^3 <= n.  What is left has at most two prime
+    factors, so it is squarefree unless it is a square above 1."""
+    n, p = abs(n), 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or isqrt_exact(n) is None
 
 
 def _point_key(p: QuadPoint):
@@ -156,18 +158,17 @@ def _box(cfg: SearchConfig) -> tuple[int, frozenset[int]]:
 
 
 def _collect(curve: CurveParams, candidates, source: str) -> list[QuadPoint]:
-    """The candidates, each checked on the curve, as canonical
-    representatives without repeats, sorted by _point_key.  The box and the
-    hunt, its callers, build their candidates canonical too: every rational
-    part, and every radical part beside a rational 0, is >= 0, and a box
-    candidate's y or z has both parts nonzero only when its x does, with X,
-    V > 0.  The call keeps repeats out whatever signs a scan builds."""
-    reps = set()
+    """The candidates, each checked on the curve, without repeats, sorted by
+    _point_key.  The box and the hunt, its callers, build each candidate as
+    its canonical representative: every rational part, and every radical
+    part beside a rational 0, is >= 0, and a box candidate's y or z has both
+    parts nonzero only when its x does, with X, V > 0."""
+    points = set()
     for point in candidates:
         if not on_curve(curve, point):
             raise PanicInvariant(f"{source} candidate {point} escaped the curve")
-        reps.add(canonical_representative(point))
-    return sorted(reps, key=_point_key)
+        points.add(point)
+    return sorted(points, key=_point_key)
 
 
 def box_search(cfg: SearchConfig) -> list[QuadPoint]:
@@ -197,8 +198,10 @@ def box_search(cfg: SearchConfig) -> list[QuadPoint]:
 
     So one pass over (X, U) and one over (V, W) with X = U = 0 cover the
     box.  Each split e*s^2 = k keeps s in the box and e squarefree with
-    |e| <= eps_bound, so the scan finds exactly the points a scan of every
-    radicand finds.  z comes from its root test at the eps found.
+    |e| <= eps_bound, tested where the scan meets it, so the scan finds
+    exactly the points a scan of every radicand finds.  z comes from its
+    root test at the eps found.  Each candidate is built as its canonical
+    representative, so the output is the candidates without repeats.
     """
     return _collect(cfg.curve, _box_candidates(cfg), "box")
 
@@ -245,21 +248,16 @@ def _box_candidates(cfg: SearchConfig):
     positive = scan[1:]
     a, b = curve.a, curve.b
     cL2, dL2 = curve.c * L * L, curve.d * L * L
-    # Every radicand the scan keeps divides a nonzero U^2 - a*X^2 - c*L^2 =
-    # e*(a*V^2 - W^2) or, on the z edge, b*X^2 + d*L^2; so the sieve stops at
-    # their largest size when eps_bound is larger.
-    B2 = scan[-1] ** 2
-    bound = min(cfg.eps_bound, max((1 + abs(a)) * B2 + abs(cL2), (1 + abs(b)) * B2 + abs(dL2)))
-    sieve = _squarefree_sieve(bound)
+    bound = cfg.eps_bound
 
     def radicand(e: int) -> bool:
-        """e is a squarefree radicand other than 1 with |e| <= bound."""
-        return e != 1 and abs(e) <= bound and sieve[abs(e)]
+        """e is a squarefree radicand other than 1 with |e| <= eps_bound."""
+        return e != 1 and abs(e) <= bound and _is_squarefree(e)
 
     def split(k: int):
         """The (e, s) with e*s^2 = k, s > 0 in the scan and radicand(e), or
         None.  There is at most one, e being the squarefree part of k; every
-        s below isqrt(|k| // bound) leaves |e| too large."""
+        s below isqrt(|k| // eps_bound) leaves |e| too large."""
         n = abs(k)
         for i in range(bisect_left(scan, max(1, isqrt(n // bound))), len(scan)):
             s = scan[i]

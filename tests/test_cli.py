@@ -179,10 +179,11 @@ class TestSearchCommand:
         assert report["results"] == []
 
     def test_huge_eps_bound_sieves_only_the_box(self, capsys):
-        # The squarefree sieve stops at the largest radicand the box can
-        # meet, not at eps_bound: sized at eps_bound it would take 10 GB
-        # here.  The child's address space is capped at 1 GB, so a sieve
-        # sized at eps_bound fails fast instead of filling memory.
+        # The box tests each radicand it meets for squarefreeness, so memory
+        # does not grow with eps_bound, nor with the box's common denominator
+        # L (840 for S = {2, 3, 5, 7}).  The child's address space is capped
+        # at 1 GB, so a table sized by either fails fast instead of filling
+        # memory.
         probe = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -191,18 +192,22 @@ class TestSearchCommand:
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
-        argv = ["search", "--curve", "2,3,1,1", "--no-timing"]
         src = str(Path(doublepell.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        child = subprocess.run(
-            [sys.executable, "-c", probe, *argv, "--eps-bound", "10000000000"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert child.returncode == 0, child.stderr
-        peak_kb = int(child.stderr.split()[-1])
-        assert peak_kb < 100 * 1024
-        narrow = run_json(capsys, *argv, "--eps-bound", "100")
-        assert json.loads(child.stdout)["results"] == narrow["results"]
+        for argv in [
+            ["search", "--curve", "2,3,1,1", "--no-timing"],
+            ["search", "--curve", "2,3,1,1", "--primes", "2,3,5,7", "--coeff-bound", "8",
+             "--no-timing"],
+        ]:
+            child = subprocess.run(
+                [sys.executable, "-c", probe, *argv, "--eps-bound", "10000000000"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert child.returncode == 0, (argv, child.stderr)
+            peak_kb = int(child.stderr.split()[-1])
+            assert peak_kb < 100 * 1024, argv
+            narrow = run_json(capsys, *argv, "--eps-bound", "100")
+            assert json.loads(child.stdout)["results"] == narrow["results"], argv
 
     def test_primes_admit_denominators(self, capsys):
         report = run_json(
@@ -626,14 +631,17 @@ class TestWorkPerPoint:
         assert counts == {"pell_classes": 3, "make": records}
 
     def test_family_walks_make_no_canonicalizing_call(self, capsys, count_calls):
-        # Each family point is canonical as QuadPoint.make builds it.
+        # Each family point is canonical as QuadPoint.make builds it, and
+        # each box candidate as the scan builds it, S-denominators too.
         counts = {"canonical_representative": 0}
         count_calls(counts, "doublepell.curve", "canonical_representative")
-        report = run_json(
-            capsys, "families", "--curve", "2,3,1,1", "--count", "20", "--no-timing"
-        )
-        assert len(report["results"]) == 60
-        assert counts == {"canonical_representative": 0}
+        for argv, records in [
+            (("families", "--curve", "2,3,1,1", "--count", "20"), 60),
+            (("search", "--curve", "2,3,1,1", "--primes", "2,3", "--coeff-bound", "8"), 5),
+        ]:
+            report = run_json(capsys, *argv, "--no-timing")
+            assert len(report["results"]) == records, argv
+            assert counts == {"canonical_representative": 0}, argv
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import isqrt
 
 import pytest
@@ -34,7 +34,7 @@ from doublepell.search import (
     _box_sqrt,
     _collect,
     _exceptional_candidates,
-    _squarefree_sieve,
+    _is_squarefree,
 )
 from doublepell.exactmath import isqrt_exact, squarefree_decompose
 
@@ -324,32 +324,34 @@ def naive_box_oracle(curve, eps_bound, coeff_bound, s_primes=SPrimeSet.empty()):
     return hits
 
 
-def test_squarefree_sieve_matches_the_decomposition():
-    squarefree = [e for e in range(-299, 300) if e and squarefree_decompose(e)[1] == e]
-    for limit in range(300):
-        sieve = _squarefree_sieve(limit)
-        got = [e for e in range(-299, 300) if abs(e) <= limit and sieve[abs(e)]]
-        assert got == [e for e in squarefree if abs(e) <= limit], limit
+def test_is_squarefree_matches_the_decomposition():
+    for e in [*range(-3000, 0), *range(1, 3001)]:
+        assert _is_squarefree(e) == (squarefree_decompose(e)[1] == e), e
+    assert not _is_squarefree(0)
 
 
-def test_squarefree_sieve_sieves_a_large_range(deadline):
-    # Trial division by every p*p with p <= isqrt(|e|) costs O(E^1.5), far
-    # past this deadline at E = 10^6; the sieve is near linear.
-    with deadline(2):
-        sieve = _squarefree_sieve(10**6)
-    assert sum(sieve) == 607926  # 2 * 607,926 radicands with |e| <= 10^6
+def test_is_squarefree_past_the_cube_root():
+    # Past the cube root of n what is left has at most two prime factors:
+    # products of two large primes, squared or not, test that edge.
+    large = (10007, 10009, 99991, 1000003, 1000033)
+    edges = [m * p * p for p in large for m in (1, 2)]
+    edges += [sign * p * q for p, q in combinations(large, 2) for sign in (1, -1)]
+    edges += [p * p * q for p, q in permutations(large, 2)]
+    for e in edges:
+        assert _is_squarefree(e) == (squarefree_decompose(e)[1] == e), e
 
 
-def test_squarefree_sieve_factors_nothing(count_calls):
+def test_is_squarefree_factors_nothing(count_calls):
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
-    assert sum(_squarefree_sieve(200)) > 0
+    assert sum(map(_is_squarefree, range(1, 200))) == 122
+    assert _is_squarefree(1000003 * 1000033) and not _is_squarefree(1000003**2 * 1000033)
     assert counts == {"factorize": 0}
 
 
 def test_candidates_are_not_factored_again(count_calls):
     # Neither scan factors a candidate's eps: the box reads it off a split
-    # e*s^2 = k checked against _squarefree_sieve, and the genus-1 hunt off
+    # e*s^2 = k checked by _is_squarefree, and the genus-1 hunt off
     # a split that divides out the primes of bc - ad and S; the hunt's one
     # call factors bc - ad for those primes, however many primes S has.
     counts = {"factorize": 0}
@@ -451,6 +453,7 @@ def test_box_scan_matches_the_per_eps_reference():
         got = box_search(cfg)
         assert got == _collect(cfg.curve, reference_box_candidates(cfg), "reference"), cfg
         for point in got:
+            assert canonical_representative(point) == point, (cfg, point)
             if point.eps != 1:
                 shapes.update(box_shapes(cfg.curve, point))
     assert min(shapes[name] for name in BOX_SHAPES) > 0, shapes
@@ -559,9 +562,14 @@ def test_hunt_matches_the_per_radicand_reference():
     shapes = Counter()
     for cfg in configs:
         got = search_exceptional(cfg)
-        reference = (p for p in reference_hunt_candidates(cfg) if p.eps != 1)
+        # The reference builds some points with negative parts; fold each
+        # into its canonical representative, as the hunt builds them.
+        reference = (
+            canonical_representative(p) for p in reference_hunt_candidates(cfg) if p.eps != 1
+        )
         assert got == _collect(cfg.curve, reference, "reference"), cfg
         for point in got:
+            assert canonical_representative(point) == point, (cfg, point)
             for shape, first in (("x+", point.y), ("y+", point.x), ("z+", point.x)):
                 if shape in loci_from_signs(point):
                     shapes[shape] += 1
