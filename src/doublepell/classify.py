@@ -10,9 +10,9 @@ permanent internal oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import CurveParams, QuadPoint, SymPoint, sym_invariants
 from .errors import DomainError, PanicInvariant
@@ -49,8 +49,7 @@ _LOCI = {
 FAMILY_FLAG = {verdict: flag for tag, (verdict, flag) in _LOCI.items() if tag[1] == "-"}
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     degenerate_flags: frozenset[str]
     sign_pattern: tuple[str, str, str] | None

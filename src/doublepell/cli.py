@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -343,7 +342,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     curve = _parse_curve(args.curve)
     s_primes = _parse_primes(args.primes)
     points = _generate_points(curve, s_primes, args.count)
-    per_identity = {f.name: {"pass": 0, "fail": 0} for f in dataclasses.fields(IdentityReport)}
+    per_identity = {name: {"pass": 0, "fail": 0} for name in IdentityReport._fields}
     for point in points:
         for name, ok in verify_identities(curve, point).as_dict().items():
             per_identity[name]["pass" if ok else "fail"] += 1

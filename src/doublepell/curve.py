@@ -9,11 +9,11 @@ identity checks tying all of them together.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ABCD_ZERO,
@@ -31,18 +31,24 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    a: int
-    b: int
-    c: int
-    d: int
+# The records that check their input are namedtuple subclasses whose
+# __new__ makes the checks; _replace builds through _make, so overriding
+# _make makes both validate as the constructor does.
+class CurveParams(namedtuple("CurveParams", "a b c d")):
+    # No __slots__: the instance __dict__ holds the cached roots, and
+    # __setattr__ keeps it closed to assignment.
 
-    def __post_init__(self):
-        if self.a * self.b * self.c * self.d == 0:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * b * c * d == 0:
             raise DegenerateCurve("a*b*c*d must be nonzero", ABCD_ZERO)
-        if self.a * self.d - self.b * self.c == 0:
+        if a * d - b * c == 0:
             raise DegenerateCurve("a*d - b*c must be nonzero", AD_EQUALS_BC)
+        return tuple.__new__(cls, (a, b, c, d))
+
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def cross(self) -> int:
@@ -61,16 +67,18 @@ def validate_curve(a: int, b: int, c: int, d: int) -> CurveParams:
     return CurveParams(a, b, c, d)
 
 
-@dataclass(frozen=True)
-class SPrimeSet:
+class SPrimeSet(namedtuple("SPrimeSet", "primes")):
     """Finite set of rational primes; s counts the archimedean place too."""
 
-    primes: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.primes:
+    def __new__(cls, primes: frozenset[int]):
+        for p in primes:
             if not _is_probable_prime(p):
                 raise DomainError(f"{p} is not prime")
+        return tuple.__new__(cls, (primes,))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def of(cls, *primes: int) -> "SPrimeSet":
@@ -93,8 +101,7 @@ class SPrimeSet:
         return not self.missing_primes_for(curve)
 
 
-@dataclass(frozen=True)
-class QuadPoint:
+class QuadPoint(namedtuple("QuadPoint", "eps den nums")):
     """A point (x, y, z) with coordinates u + v*sqrt(eps), u, v rational,
     stored as six integer numerators over one denominator:
     x = (nums[0] + nums[1]*sqrt(eps))/den, y and z likewise.
@@ -108,20 +115,21 @@ class QuadPoint:
     checks and trusts eps to be squarefree, as later steps do.
     """
 
-    eps: int
-    den: int
-    nums: tuple[int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps == 0:
+    def __new__(cls, eps: int, den: int, nums: tuple[int, int, int, int, int, int]):
+        if eps == 0:
             raise DomainError("eps must be nonzero")
-        if self.den < 1 or gcd(self.den, *self.nums) != 1:
+        if den < 1 or gcd(den, *nums) != 1:
             raise DomainError("den must be the least positive common denominator")
-        radical = any(self.nums[1::2])
-        if self.eps == 1 and radical:
+        radical = any(nums[1::2])
+        if eps == 1 and radical:
             raise DomainError("eps = 1 points must have zero radical parts")
-        if self.eps != 1 and not radical:
+        if eps != 1 and not radical:
             raise DomainError("all radical parts zero; use QuadPoint.make")
+        return tuple.__new__(cls, (eps, den, nums))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def make(cls, eps: int, x, y, z) -> "QuadPoint":
@@ -219,8 +227,7 @@ def _fgh(curve: CurveParams, point: QuadPoint):
     return f, g, h
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(NamedTuple):
     """Symmetric data of the conjugate pair {P, P'}.
 
     ff, gg, hh are the products f(P)f(P'), g(P)g(P'), h(P)h(P'); alpha,
@@ -282,8 +289,7 @@ def sym_invariants(curve: CurveParams, point: QuadPoint) -> SymPoint:
     return SymPoint(point, ff / LL, gg / LL, hh / LL, alpha, beta, gamma)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Pass/fail record of the six exact identities at one point."""
 
     linear_fgh: bool        # sqrt(b)f - sqrt(a)g = h
@@ -297,7 +303,7 @@ class IdentityReport:
         return all(self.as_dict().values())
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:
@@ -327,16 +333,18 @@ def verify_identities(curve: CurveParams, point: QuadPoint) -> IdentityReport:
     return IdentityReport(linear, inverse, prod_lin, prod_inv, unit_sum, ff_sq)
 
 
-@dataclass(frozen=True)
-class InfinityPoints:
+class InfinityPoints(namedtuple("InfinityPoints", "points")):
     """The four projective points at infinity (1 : +-sqrt(a) : +-sqrt(b) : 0),
     as (X, Y, Z) MultiQuad triples in the fixed sign order ++, +-, -+, --."""
 
-    points: tuple[tuple[MultiQuad, MultiQuad, MultiQuad], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) != 4 or len(set(self.points)) != 4:
+    def __new__(cls, points: tuple[tuple[MultiQuad, MultiQuad, MultiQuad], ...]):
+        if len(points) != 4 or len(set(points)) != 4:
             raise PanicInvariant("expected four distinct points at infinity")
+        return tuple.__new__(cls, (points,))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def points_at_infinity(curve: CurveParams) -> InfinityPoints:

@@ -9,9 +9,10 @@ D < 0 and square D collapse to finite enumerations.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DomainError, PanicInvariant
 from .exactmath import factorize, isqrt_exact
@@ -27,8 +28,7 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Periodic continued fraction of sqrt(d): [a0; period repeating]."""
 
     d: int
@@ -36,18 +36,19 @@ class CFExpansion:
     period: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PellProblem:
-    D: int
-    N: int
+class PellProblem(namedtuple("PellProblem", "D N")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N == 0:
+    def __new__(cls, D: int, N: int):
+        if N == 0:
             raise DomainError("N must be nonzero")
+        return tuple.__new__(cls, (D, N))
+
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class PellSolutionSet:
+class PellSolutionSet(NamedTuple):
     """Solutions of x^2 - D*y^2 = N.
 
     If finite_complete, class_reps is the entire solution set.  Otherwise

@@ -31,10 +31,11 @@ scan meets it, instead of O(coeff_bound^2) root tests per radicand.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .classify import Verdict, _in_base_square_class, family_conic
 from .curve import (
@@ -53,21 +54,24 @@ from .pell import _conic_stream
 _PELL_Y_CAP = 2**100
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    curve: CurveParams
-    s_primes: SPrimeSet = SPrimeSet.empty()
-    coeff_bound: int = 5
-    eps_bound: int = 15
-    family_count: int = 5
+class SearchConfig(
+    namedtuple("SearchConfig", "curve s_primes coeff_bound eps_bound family_count")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.coeff_bound, self.eps_bound, self.family_count) < 1:
+    def __new__(
+        cls, curve: CurveParams, s_primes: SPrimeSet = SPrimeSet.empty(),
+        coeff_bound: int = 5, eps_bound: int = 15, family_count: int = 5,
+    ):
+        if min(coeff_bound, eps_bound, family_count) < 1:
             raise DomainError("all search bounds must be at least 1")
+        return tuple.__new__(cls, (curve, s_primes, coeff_bound, eps_bound, family_count))
+
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SUnitSolution:
+class SUnitSolution(NamedTuple):
     """Ordered triple of S-units summing to 1; degenerate iff some entry is 1
     (equivalently a proper subsum vanishes)."""
 

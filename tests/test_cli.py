@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -336,7 +335,7 @@ class TestVerifyCommand:
         def failing_at_first_point(curve, point):
             report = original(curve, point)
             points.append(point)
-            return dataclasses.replace(report, unit_sum=False) if len(points) == 1 else report
+            return report._replace(unit_sum=False) if len(points) == 1 else report
 
         monkeypatch.setattr(cli, "verify_identities", failing_at_first_point)
         code, out, _ = run_cli(
