@@ -29,6 +29,7 @@ from .curve import (
     IdentityReport,
     QuadPoint,
     SPrimeSet,
+    SymPoint,
     compute_bounds,
     on_curve,
     validate_curve,
@@ -47,7 +48,7 @@ from .search import (
     search_exceptional,
 )
 
-_INVARIANT_NAMES = ("ff", "gg", "hh", "alpha", "beta", "gamma")
+_INVARIANT_NAMES = SymPoint._fields[1:]
 
 def _parse_curve(text: str) -> CurveParams:
     parts = text.split(",")

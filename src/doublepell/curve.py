@@ -26,7 +26,6 @@ from .errors import (
 from .exactmath import (
     MultiQuad,
     _is_probable_prime,
-    factorize,
     squarefree_decompose,
 )
 
@@ -91,14 +90,6 @@ class SPrimeSet(namedtuple("SPrimeSet", "primes")):
     @property
     def s(self) -> int:
         return len(self.primes) + 1
-
-    def missing_primes_for(self, curve: CurveParams) -> frozenset[int]:
-        """Primes of c*d*(bc-ad) not in the set; empty iff admissible."""
-        needed = factorize(curve.c * curve.d * curve.cross)
-        return frozenset(needed) - self.primes
-
-    def is_admissible_for(self, curve: CurveParams) -> bool:
-        return not self.missing_primes_for(curve)
 
 
 class QuadPoint(namedtuple("QuadPoint", "eps den nums")):

@@ -9,8 +9,8 @@ box_search is an exhaustive independent oracle over a finite coefficient
 box.  The genus-1 locus hunt scans each shape's rational coordinate t over
 the integers 0..coeff_bound and reads the radicand off the value t fixes:
 O(coeff_bound) splits per shape, each O(|P|) divisions for the primes P of
-bc - ad and S.  Its points are integral, so it misses box points with an
-S-denominator (ROADMAP item 6).
+the shape's constant, bc - ad, d or c, which eps divides.  Its points are
+integral, so it misses box points with an S-denominator (ROADMAP item 6).
 
 Every box coordinate is n/q with |n| <= coeff_bound and q an S-smooth
 integer up to coeff_bound, so the box works over the common denominator L
@@ -321,15 +321,13 @@ def search_exceptional(cfg: SearchConfig) -> list[QuadPoint]:
     sqrt(eps)*Q.  The scan takes t over the integers 0..coeff_bound: t fixes
     x^2 = X2, y^2 = a*X2 + c and z^2 = b*X2 + d, and the two that are not t^2
     are eps times squares, so eps is the squarefree part of whichever is
-    nonzero.  That costs O(coeff_bound) splits per shape, each O(|P|)
-    divisions for the primes P of bc - ad and S, which support every eps.
-    The squares are integers and eps is squarefree, so both radical
-    coordinates are integral too.
-
-    The shapes whose rational coordinate is y or z force eps to divide d or
-    c instead, which S covers when it contains the primes of c*d.  A point
-    with an S-denominator is missed (ROADMAP item 6); box_search stays the
-    oracle.
+    nonzero.  The squares are integers and eps is squarefree, so both
+    radical coordinates u, v are integral too, and the shape's equations
+    give eps*(b*u^2 - a*v^2) = bc - ad when x is rational, eps*(v^2 -
+    b*u^2) = d when y is, and eps*(v^2 - a*u^2) = c when z is.  So eps
+    divides the shape's constant, and each split costs O(|P|) divisions for
+    the primes P of that constant, whatever S is.  A point with an
+    S-denominator is missed (ROADMAP item 6); box_search stays the oracle.
     """
     return _collect(cfg.curve, _exceptional_candidates(cfg), "exceptional")
 
@@ -353,11 +351,12 @@ def _exceptional_candidates(cfg: SearchConfig):
     curve = cfg.curve
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     box = range(cfg.coeff_bound + 1)
-    primes = sorted(set(factorize(curve.cross)) | set(cfg.s_primes.primes))
-    # The rational coordinate i = t and x^2 = (t^2 - C)/A for each shape.
-    shapes = ((0, 1, 0), (1, a, c), (2, b, d))
+    # The rational coordinate i = t, x^2 = (t^2 - C)/A, and the primes of
+    # the constant that eps divides, for each shape.
+    shapes = [(i, A, C, factorize(k)) for i, A, C, k in
+              ((0, 1, 0, curve.cross), (1, a, c, d), (2, b, d, c))]
     for t in box:
-        for i, A, C in shapes:
+        for i, A, C, primes in shapes:
             X2, rest = divmod(t * t - C, A)
             if rest:
                 continue

@@ -1,4 +1,3 @@
-import math
 from itertools import combinations, product
 
 import pytest
@@ -13,7 +12,6 @@ from doublepell import (
     box_search,
     classify,
     detect_degenerate,
-    factorize,
     family_image,
     loci_from_invariants,
     loci_from_signs,
@@ -237,8 +235,9 @@ class TestFamilyImage:
 
 
 class TestExceptionalEpsCandidates:
-    """The radicands the genus-1 hunt admits: squarefree, supported on the
-    primes of bc - ad and S, and neither 1 nor a square class of a, b or ab."""
+    """The radicands the genus-1 hunt admits: squarefree divisors of the
+    shape's constant (bc - ad, d or c), whatever S is, and neither 1 nor a
+    square class of a, b or ab."""
 
     @staticmethod
     def hunt_eps(params, primes=(), coeff_bound=5):
@@ -257,12 +256,13 @@ class TestExceptionalEpsCandidates:
         assert validate_curve(2, 3, 3, 2).cross == 5
         assert self.hunt_eps((2, 3, 3, 2)) == {-1, 5}
 
-    def test_s_primes_join_but_base_classes_leave(self):
-        # bc - ad = -8 on 2,3,2,7: eps = 7 needs 7 in S.  On 2,3,-4,2, bc - ad
+    def test_s_adds_no_radicand_but_base_classes_leave(self):
+        # bc - ad = -8 on 2,3,2,7, but eps = 7 divides d, the constant of the
+        # y-rational shape, so it needs no prime of S.  On 2,3,-4,2, bc - ad
         # = -16 supports eps = 2 = a, whose x = sqrt(2), y = 0, z = 2*sqrt(2)
         # the box finds and the hunt drops as KRational.
-        assert self.hunt_eps((2, 3, 2, 7)) == {-2, -1}
-        assert self.hunt_eps((2, 3, 2, 7), (7,)) == {-2, -1, 7}
+        assert self.hunt_eps((2, 3, 2, 7)) == {-2, -1, 7}
+        assert self.hunt_eps((2, 3, 2, 7), (5, 7)) == {-2, -1, 7}
         other = validate_curve(2, 3, -4, 2)
         witness = QuadPoint.make(2, (0, 1), (0, 0), (0, 2))
         assert witness in box_search(SearchConfig(other, coeff_bound=4, eps_bound=10))
@@ -280,6 +280,8 @@ class TestExceptionalEpsCandidates:
         assert self.hunt_eps((2, 3, 3, 17), (2, 3)) == {5}  # bc - ad = -25
 
     def test_matches_squarefree_reference(self):
+        # Every eps is a squarefree divisor of bc - ad, c = 3 or d = 2, and
+        # the hunt finds the same radicands for every S.
         found = 0
         for a in _GRID:
             for b in _GRID:
@@ -287,15 +289,15 @@ class TestExceptionalEpsCandidates:
                     curve = validate_curve(a, b, 3, 2)
                 except DegenerateCurve:
                     continue
-                excluded = _base_classes(a, b) | {1}
-                for r in range(4):
+                expected = {
+                    e for k in (curve.cross, 3, 2) for e in range(-abs(k), abs(k) + 1)
+                    if e and k % e == 0 and squarefree_decompose(e)[1] == e
+                }
+                expected -= _base_classes(a, b) | {1}
+                got = self.hunt_eps((a, b, 3, 2))
+                assert got <= expected, (a, b)
+                for r in range(1, 4):
                     for s_primes in combinations((2, 3, 5), r):
-                        support = sorted(set(factorize(curve.cross)) | set(s_primes))
-                        expected = set()
-                        for k in range(len(support) + 1):
-                            for combo in combinations(support, k):
-                                expected |= {math.prod(combo), -math.prod(combo)}
-                        got = self.hunt_eps((a, b, 3, 2), s_primes)
-                        assert got <= expected - excluded, (a, b, s_primes)
-                        found += len(got)
-        assert found > 500
+                        assert self.hunt_eps((a, b, 3, 2), s_primes) == got, (a, b, s_primes)
+                found += len(got)
+        assert found > 100

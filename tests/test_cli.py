@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,39 @@ class TestSearchCommand:
             assert peak_kb < 100 * 1024, argv
             narrow = run_json(capsys, *argv, "--eps-bound", "100")
             assert json.loads(child.stdout)["results"] == narrow["results"], argv
+
+    def test_hunt_lists_a_point_whose_eps_divides_d_alone(self, capsys):
+        # On -2,-1,1,3 with S empty, bc - ad = 5, but eps = 3 divides d, the
+        # constant of the shape with y rational: the hunt lists x = 0, y = 1,
+        # z = sqrt(3) beside the box's record of it.
+        report = run_json(
+            capsys, "search", "--curve=-2,-1,1,3", "--coeff-bound", "3", "--no-timing"
+        )
+        hunted = [
+            (rec["eps"], rec["x"], rec["y"], rec["z"], rec["classification"]["verdict"])
+            for rec in report["results"] if rec["source"] == "exceptional"
+        ]
+        assert hunted == [(3, ["0", "0"], ["1", "0"], ["0", "1"], "Exceptional_y")]
+
+    def test_reports_match_the_recorded_box_search_answers(self, capsys):
+        # bench/answers/box-search.json keeps the first 32 hex digits of the
+        # SHA-256 of each `search --primes 2,3 --no-timing` report; every
+        # one up to --coeff-bound 8 is replayed here.
+        path = Path(__file__).resolve().parents[1] / "bench" / "answers" / "box-search.json"
+        recorded = json.loads(path.read_text(encoding="utf-8"))["answers"]
+        keys = [key for key in recorded if int(key.split()[2]) <= 8]
+        assert len(keys) == 285
+        drifted = []
+        for key in keys:
+            _, curve, bound = key.split()
+            code, out, err = run_cli(
+                capsys, "search", f"--curve={curve}", "--primes", "2,3",
+                "--coeff-bound", bound, "--no-timing",
+            )
+            assert code == 0, (key, err)
+            if hashlib.sha256(out.encode()).hexdigest()[:32] != recorded[key]:
+                drifted.append(key)
+        assert drifted == []
 
     def test_primes_admit_denominators(self, capsys):
         report = run_json(

@@ -246,12 +246,6 @@ class TestSPrimeSet:
         assert SPrimeSet.empty().s == 1
         assert SPrimeSet.of(2, 3).s == 3
 
-    def test_admissibility(self):
-        curve = validate_curve(2, 3, 1, 5)  # c*d*(bc-ad) = 5 * -7
-        assert not SPrimeSet.empty().is_admissible_for(curve)
-        assert SPrimeSet.of(5, 7).is_admissible_for(curve)
-        assert SPrimeSet.of(5).missing_primes_for(curve) == frozenset({7})
-
     def test_rejects_composites(self):
         with pytest.raises(DomainError):
             SPrimeSet.of(6)

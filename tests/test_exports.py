@@ -20,6 +20,8 @@ def test_deleted_names_stay_gone():
         assert name not in doublepell.__all__
         assert not hasattr(doublepell, name)
     assert not hasattr(doublepell.MultiQuad, "conjugate_under")
+    for name in ("missing_primes_for", "is_admissible_for"):
+        assert not hasattr(doublepell.SPrimeSet, name)
     assert not hasattr(doublepell.classify, "exceptional_eps_candidates")
     for name in ("_s_unit_exponents", "_square_scan"):
         assert not hasattr(doublepell.search, name)

@@ -1,5 +1,4 @@
 import functools
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -19,7 +18,6 @@ from doublepell import (
     enumerate_family_xy,
     enumerate_family_xz,
     enumerate_family_yz,
-    factorize,
     on_curve,
     search_exceptional,
     sunit_solutions,
@@ -351,9 +349,10 @@ def test_is_squarefree_factors_nothing(count_calls):
 
 def test_candidates_are_not_factored_again(count_calls):
     # Neither scan factors a candidate's eps: the box reads it off a split
-    # e*s^2 = k checked by _is_squarefree, and the genus-1 hunt off
-    # a split that divides out the primes of bc - ad and S; the hunt's one
-    # call factors bc - ad for those primes, however many primes S has.
+    # e*s^2 = k checked by _is_squarefree, and the genus-1 hunt off a split
+    # that divides out the primes of the shape's constant; the hunt's three
+    # calls factor bc - ad, c and d for those primes, however many primes S
+    # has.
     counts = {"factorize": 0}
     count_calls(counts, "doublepell.exactmath", "factorize")
     box = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(2, 3), coeff_bound=8)
@@ -361,10 +360,10 @@ def test_candidates_are_not_factored_again(count_calls):
     assert counts == {"factorize": 0}
     hunt = SearchConfig(validate_curve(2, 3, 3, 17), coeff_bound=5)
     assert list(_exceptional_candidates(hunt))
-    assert counts == {"factorize": 1}
+    assert counts == {"factorize": 3}
     wide = SearchConfig(validate_curve(2, 3, 1, 1), SPrimeSet.of(*EIGHTEEN_PRIMES), coeff_bound=3)
     list(_exceptional_candidates(wide))
-    assert counts == {"factorize": 2}
+    assert counts == {"factorize": 6}
 
 
 def reference_box_candidates(cfg):
@@ -495,19 +494,16 @@ def test_box_matches_naive_oracle_with_s_denominators(params, primes):
         assert QuadPoint.make(-2, (0, half), (0, 0), (0, half)) in got
 
 
-def hunt_radicands(curve, s_primes):
-    """Every squarefree eps a genus-1 locus point could live over, listed as
-    the hunt listed them before it read eps off each shape: the signed
-    products of distinct primes of bc - ad and S, less 1 and the square
-    classes of a, b and ab.  2^(k+1) products for k primes."""
-    primes = sorted(set(factorize(curve.cross)) | set(s_primes.primes))
-    candidates = set()
-    for r in range(len(primes) + 1):
-        for combo in combinations(primes, r):
-            for signed in (math.prod(combo), -math.prod(combo)):
-                if signed != 1 and not _in_base_square_class(curve, signed):
-                    candidates.add(signed)
-    return sorted(candidates, key=lambda v: (abs(v), v))
+def hunt_radicands(curve):
+    """Every squarefree eps an integral genus-1 locus point could live over,
+    found without the hunt's primes: eps divides the constant bc - ad, d or
+    c of its shape, so |eps| is at most the largest of them.  Less 1 and the
+    square classes of a, b and ab."""
+    top = max(abs(curve.c), abs(curve.d), abs(curve.cross))
+    return [
+        e for m in range(1, top + 1) for e in (-m, m)
+        if e != 1 and squarefree_decompose(e)[1] == e and not _in_base_square_class(curve, e)
+    ]
 
 
 def reference_hunt_candidates(cfg):
@@ -529,7 +525,7 @@ def reference_hunt_candidates(cfg):
     def companion(eps, m):
         return _box_sqrt(m * L * L, eps, box)
 
-    for eps in hunt_radicands(curve, cfg.s_primes):
+    for eps in hunt_radicands(curve):
         # x rational: r^2 = eps*(a*t^2 + c), u = r/eps, companion z.
         for t, r in square_scan(a * eps, c * eps):
             u = r // eps
@@ -548,8 +544,8 @@ def reference_hunt_candidates(cfg):
 def test_hunt_matches_the_per_radicand_reference():
     # Reading eps off each shape must give what the scan of every listed
     # radicand gives: every shape, the edge where the first radical
-    # coordinate is 0 (eps read off the second), S primes that bc - ad
-    # lacks, and coeff_bound both below and above the usual box.
+    # coordinate is 0 (eps read off the second), S primes that no constant
+    # has, and coeff_bound both below and above the usual box.
     grid = product((-4, -2, -1, 1, 2, 3, 5, 7), (-1, 2, 3, 5, 9), (-3, -1, 1, 2, 5),
                    (-1, 1, 2, 6, 17))
     settings = [((), 4), ((2,), 6), ((2, 3), 4), ((5, 7), 9)]
@@ -589,7 +585,7 @@ def naive_exceptional_oracle(curve, s_primes, bound):
     span = range(-bound, bound + 1)
     vs = {Fraction(n, q) for n in span for q in s_smooth_up_to(bound, s_primes)}
     hits = {}
-    for eps in hunt_radicands(curve, s_primes):
+    for eps in hunt_radicands(curve):
         for t in span:
             for u in span:
                 for v in vs:
@@ -674,8 +670,8 @@ class TestSearchExceptional:
         # The hunt scans its rational coordinate and the first radical one
         # over the integers only (ROADMAP item 6 and the strict xfail
         # below), and this box has S empty, so every box coordinate is
-        # integral.  The hunt's S covers the primes of c*d*(bc-ad) = -35,
-        # so every shape's eps splits over them.
+        # integral.  Each shape's eps splits over the primes of its own
+        # constant, bc - ad = -7, c = 1 or d = 5, so S adds nothing.
         other = validate_curve(2, 3, 1, 5)
         admissible = SPrimeSet.of(5, 7)
         cfg = SearchConfig(other, admissible, coeff_bound=30, eps_bound=10)
@@ -691,9 +687,9 @@ class TestSearchExceptional:
             assert on_curve(other, p)
 
     def test_admissible_s_covers_all_three_shapes(self):
-        # eps must divide d for the shape with y in the base field, and the
-        # admissibility hypothesis (primes of c*d inside S) is what folds
-        # that case into the candidate list.
+        # eps must divide d for the shape with y in the base field, so the
+        # hunt splits that shape over the primes of d: eps = 7 on 2,3,2,7 is
+        # found with S empty, where bc - ad = -8 has no 7, as with 7 in S.
         other = validate_curve(2, 3, 2, 7)
         witness = QuadPoint.make(7, (0, 1), (4, 0), (0, 2))
         assert on_curve(other, witness)
@@ -701,8 +697,35 @@ class TestSearchExceptional:
         admissible = SearchConfig(other, SPrimeSet.of(2, 7), coeff_bound=4)
         assert witness in search_exceptional(admissible)
         bare = SearchConfig(other, coeff_bound=4)
-        assert witness not in search_exceptional(bare)
+        assert search_exceptional(bare) == search_exceptional(admissible)
         assert witness in box_search(SearchConfig(other, coeff_bound=4, eps_bound=7))
+
+    def test_finds_every_integral_exceptional_box_point_for_every_s(self):
+        # eps divides its shape's constant (bc - ad, d or c), so S adds no
+        # radicand: the hunt finds every integral Exceptional_* box point
+        # with S empty, and its output is the same for every S.  A hunt
+        # that splits every shape over the primes of bc - ad and S misses
+        # some, such as x = 0, y = 1, z = sqrt(3) on -2,-1,1,3.
+        exceptional = (Verdict.EXCEPTIONAL_X, Verdict.EXCEPTIONAL_Y, Verdict.EXCEPTIONAL_Z)
+        grid = product((-2, -1, 2, 3), (-1, 2, 3, 5, 7), (-2, -1, 1, 2, 3, 5, 6),
+                       (-1, 1, 2, 3, 6, 10))
+        curves = [validate_curve(*params) for params in grid
+                  if params[0] * params[3] != params[1] * params[2]]
+        hunts, boxed = [], 0
+        for primes in ((), (2,), (3,)):
+            hunt = {}
+            for curve in curves:
+                cfg = SearchConfig(curve, SPrimeSet.of(*primes), coeff_bound=6, eps_bound=40)
+                hunt[curve] = search_exceptional(cfg)
+                points = {
+                    p for p in box_search(cfg)
+                    if p.den == 1 and classify(curve, p).verdict in exceptional
+                }
+                assert points <= set(hunt[curve]), (curve, primes)
+                boxed += len(points)
+            hunts.append(hunt)
+        assert hunts[0] == hunts[1] == hunts[2]
+        assert boxed > 1000
 
     @pytest.mark.xfail(
         strict=True,
